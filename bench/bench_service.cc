@@ -1,9 +1,10 @@
 // E4_service — multi-tenant online diagnosis serving (ROADMAP item 2):
-// sessions/sec and p99 alarm-to-answer latency at 1k and 10k concurrent
-// sessions over one plant model. Sessions draw their alarm streams from a
-// small deterministic pool of generated runs, so the shared prefix cache
-// does what it does in production — the first session reaching a prefix
-// evaluates, every later session is served from the memoized answers. The
+// sessions/sec and p99 alarm-to-answer latency at 1k, 10k and 100k
+// concurrent sessions over one plant model, all on one thread. Sessions
+// draw their alarm streams from a small deterministic pool of generated
+// runs, so the shared prefix cache does what it does in production — the
+// first session reaching a prefix evaluates, every later session is
+// served from the memoized answers. The
 // resident-session cap is far below the session count, so the round-robin
 // alarm schedule also churns the hibernate/restore path on every tick.
 //
@@ -11,7 +12,7 @@
 // restores, durable bytes, explanation checksum, registry counters) are
 // deterministic for the fixed seed and schedule and are pinned by
 // bench/baselines/BENCH_E4_service.json in CI; timing fields use the _ns
-// suffix / ns unit the baseline guard excludes.
+// suffix / ns unit, which the guard bounds to a ratio of the baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -70,12 +71,20 @@ PhaseResult RunPhase(size_t num_sessions, size_t resident_cap,
   diagnosis::DiagnosisService service(opts);
   DQSQ_CHECK_OK(service.RegisterModel("plant", net));
 
+  // An open takes about a microsecond, so the wall time of the whole open
+  // phase is dominated by whichever scheduler stall or page-fault burst
+  // lands in it (4x apart over repeated runs at 1k sessions). open_ns is
+  // therefore the median single open scaled to the session count.
   PhaseResult out;
-  const uint64_t open_start = NowNs();
+  std::vector<uint64_t> opens(num_sessions);
   for (size_t i = 0; i < num_sessions; ++i) {
+    const uint64_t t0 = NowNs();
     DQSQ_CHECK_OK(service.OpenSession("s" + std::to_string(i), "plant"));
+    opens[i] = NowNs() - t0;
   }
-  out.open_ns = NowNs() - open_start;
+  std::nth_element(opens.begin(), opens.begin() + num_sessions / 2,
+                   opens.end());
+  out.open_ns = opens[num_sessions / 2] * num_sessions;
 
   size_t max_len = 0;
   for (const auto& stream : pool) max_len = std::max(max_len, stream.size());
@@ -151,6 +160,11 @@ int main() {
 
   PhaseResult r10k = RunPhase(10'000, 1'024, pool, net);
   Report(reporter, "run10k", 10'000, 1'024, r10k);
+
+  // Same resident cap at ten times the sessions: restore/hibernate must
+  // stay cheap per alarm as the hibernated population grows.
+  PhaseResult r100k = RunPhase(100'000, 1'024, pool, net);
+  Report(reporter, "run100k", 100'000, 1'024, r100k);
 
   reporter.Write();
   return 0;

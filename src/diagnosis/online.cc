@@ -1,6 +1,7 @@
 #include "diagnosis/online.h"
 
-#include <set>
+#include <algorithm>
+#include <map>
 #include <utility>
 
 #include "common/logging.h"
@@ -37,10 +38,11 @@ StatusOr<OnlineModel> OnlineModel::Build(const petri::PetriNet& net) {
       SupervisorProgram sup,
       BuildSupervisor(net, encoded, automata, sopts, *model.ctx));
 
-  model.base_program = std::move(encoded.program);
   for (Rule& rule : sup.program.rules) {
-    model.base_program.rules.push_back(std::move(rule));
+    encoded.program.rules.push_back(std::move(rule));
   }
+  model.base_program =
+      std::make_shared<const Program>(std::move(encoded.program));
   model.supervisor = model.ctx->symbols().Name(sup.supervisor);
   model.observed_peers = sup.observed_peers;
   return model;
@@ -57,70 +59,44 @@ OnlineDiagnoser OnlineDiagnoser::CreateShared(const OnlineModel& model,
   OnlineDiagnoser d;
   d.options_ = options;
   d.ctx_ = model.ctx;
-  d.db_ = std::make_unique<Database>(d.ctx_.get());
-  d.program_ = model.base_program;
+  d.base_ = model.base_program;
   d.supervisor_ = model.supervisor;
   d.observed_peers_ = model.observed_peers;
-  for (const std::string& peer : d.observed_peers_) d.counts_[peer] = 0;
-  d.base_rules_ = d.program_.rules.size();
+  d.counts_.assign(d.observed_peers_.size(), 0);
   return d;
 }
 
 StatusOr<std::vector<Explanation>> OnlineDiagnoser::Observe(
     const petri::Alarm& alarm) {
-  auto it = counts_.find(alarm.peer);
-  if (it == counts_.end()) {
-    return InvalidArgumentError("alarm from unknown peer " + alarm.peer);
-  }
-  // The query rule of the previous step is superseded by this alarm: prune
-  // it before snapshotting the rollback point, so the rollback below is a
-  // plain truncation. A rolled-back (or merely queried) state re-emits its
-  // rule deterministically in Solve().
-  PruneQueryRule();
-  const size_t rules_before = program_.rules.size();
   const bool had_current = has_current_;
-
-  // One new chain edge: st_p_i --a--> st_p_{i+1}.
-  RuleBuilder b(ctx_.get());
-  uint32_t i = it->second;
-  program_.rules.push_back(b.Build(
-      b.MakeAtom("aedge_" + alarm.peer, supervisor_,
-                 {b.C(StateConst(alarm.peer, i)), b.C("al_" + alarm.symbol),
-                  b.C(StateConst(alarm.peer, i + 1))}),
-      {}));
-  ++it->second;
-  ++step_;
-  has_current_ = false;
-
+  DQSQ_RETURN_IF_ERROR(ApplyObservationOnly(alarm));
   StatusOr<std::vector<Explanation>> result = Solve();
   if (!result.ok()) {
-    // Transactional rollback: Solve() already removed the query rule it
-    // emitted, so truncating drops exactly the chain edge. Derived facts
-    // stay — they are sound and monotone, and a retry continues from them.
-    DQSQ_CHECK(program_.rules.size() == rules_before + 1);
-    program_.rules.resize(rules_before);
-    --it->second;
-    --step_;
+    // Transactional rollback: Solve() built the new edge's rule and already
+    // removed the query rule it emitted, so the edge rule is last. Derived
+    // facts stay — they are sound and monotone, and a retry continues
+    // from them.
+    DQSQ_CHECK(rule_edges_ == edges_.size());
+    program_.rules.pop_back();
+    --rule_edges_;
+    --counts_[edges_.back().peer];
+    edges_.pop_back();
     has_current_ = had_current;
   }
   return result;
 }
 
 Status OnlineDiagnoser::ApplyObservationOnly(const petri::Alarm& alarm) {
-  auto it = counts_.find(alarm.peer);
-  if (it == counts_.end()) {
+  auto it =
+      std::find(observed_peers_.begin(), observed_peers_.end(), alarm.peer);
+  if (it == observed_peers_.end()) {
     return InvalidArgumentError("alarm from unknown peer " + alarm.peer);
   }
+  // The query rule of the previous step is superseded by this alarm. A
+  // rolled-back (or merely queried) state re-emits it in Solve().
   PruneQueryRule();
-  RuleBuilder b(ctx_.get());
-  uint32_t i = it->second;
-  program_.rules.push_back(b.Build(
-      b.MakeAtom("aedge_" + alarm.peer, supervisor_,
-                 {b.C(StateConst(alarm.peer, i)), b.C("al_" + alarm.symbol),
-                  b.C(StateConst(alarm.peer, i + 1))}),
-      {}));
-  ++it->second;
-  ++step_;
+  const size_t peer = static_cast<size_t>(it - observed_peers_.begin());
+  edges_.push_back(Edge{peer, alarm.symbol, counts_[peer]++});
   has_current_ = false;
   return Status::Ok();
 }
@@ -145,8 +121,7 @@ StatusOr<std::vector<Explanation>> OnlineDiagnoser::Current() {
 
 void OnlineDiagnoser::PruneQueryRule() {
   if (!query_rule_present_) return;
-  program_.rules.erase(program_.rules.begin() +
-                       static_cast<std::ptrdiff_t>(query_rule_index_));
+  program_.rules.pop_back();
   query_rule_present_ = false;
 }
 
@@ -156,15 +131,29 @@ StatusOr<std::vector<Explanation>> OnlineDiagnoser::Solve() {
   // constants, so the demand is fully bound on the index columns. The rule
   // is emitted at most once per step: a retried Solve (after a budget
   // failure) or a Current() call after ObserveCached finds it absent and
-  // regenerates it; a Current() retry while it is resident reuses it.
-  const std::string qname = "q_" + std::to_string(step_);
-  bool emitted = false;
-  if (!query_rule_present_ || query_rule_step_ != step_) {
-    PruneQueryRule();
+  // regenerates it; a Current() retry while it is resident reuses it. The
+  // program is then base + edge rules in observation order + the query
+  // rule, however many steps were skipped through ObserveCached.
+  const std::string qname = "q_" + std::to_string(edges_.size());
+  const bool emitted = !query_rule_present_;
+  if (emitted) {
+    if (db_ == nullptr) {
+      db_ = std::make_unique<Database>(ctx_.get());
+      program_ = *base_;
+    }
     RuleBuilder b(ctx_.get());
+    for (; rule_edges_ < edges_.size(); ++rule_edges_) {
+      const Edge& e = edges_[rule_edges_];
+      const std::string& peer = observed_peers_[e.peer];
+      program_.rules.push_back(b.Build(
+          b.MakeAtom("aedge_" + peer, supervisor_,
+                     {b.C(StateConst(peer, e.position)), b.C("al_" + e.symbol),
+                      b.C(StateConst(peer, e.position + 1))}),
+          {}));
+    }
     std::vector<Pattern> cfgp_args{b.V("Z"), b.V("W"), b.V("Y")};
-    for (const std::string& peer : observed_peers_) {
-      cfgp_args.push_back(b.C(StateConst(peer, counts_.at(peer))));
+    for (size_t p = 0; p < observed_peers_.size(); ++p) {
+      cfgp_args.push_back(b.C(StateConst(observed_peers_[p], counts_[p])));
     }
     Atom head = b.MakeAtom(qname, supervisor_, {b.V("Z"), b.V("X")});
     Atom cfgp = b.MakeAtom("cfgp", supervisor_, std::move(cfgp_args));
@@ -172,9 +161,6 @@ StatusOr<std::vector<Explanation>> OnlineDiagnoser::Solve() {
     program_.rules.push_back(
         b.Build(std::move(head), {std::move(cfgp), std::move(inconf)}));
     query_rule_present_ = true;
-    query_rule_index_ = program_.rules.size() - 1;
-    query_rule_step_ = step_;
-    emitted = true;
   }
 
   ParsedQuery query;

@@ -18,14 +18,16 @@
 //
 // Multi-tenant sharing (docs/ARCHITECTURE.md §service): the encoder and
 // supervisor output for one plant model is session-independent, so
-// OnlineModel::Build factors it out. Sessions created from one model via
-// CreateShared share the model's DatalogContext — one hash-consed term
-// arena, symbol table and predicate registry across every session — while
-// each session keeps its own Database and rule tail.
+// OnlineModel::Build factors it out. A session created via CreateShared is
+// a cursor over that immutable model: it shares the model's DatalogContext
+// (one hash-consed term arena, symbol table and predicate registry) and
+// its base Program, and itself holds only per-peer alarm counters and the
+// observed chain edges as plain data. Its Database and the program "base +
+// one edge rule per alarm" are built on the first evaluation, so a session
+// served only from a prefix cache never copies a rule.
 #ifndef DQSQ_DIAGNOSIS_ONLINE_H_
 #define DQSQ_DIAGNOSIS_ONLINE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,12 +48,12 @@ struct OnlineOptions {
 /// The session-independent part of an online diagnoser for one plant
 /// model: the shared naming context (term arena, symbols, predicates) and
 /// the encoded base program (net encoding + open-automaton supervisor).
-/// Build once per plant model; every session of that model copies the base
-/// rules but shares the context, so hash-consed terms are interned exactly
-/// once across all sessions.
+/// Build once per plant model; every session of that model shares both, so
+/// hash-consed terms are interned once and base rules are never copied
+/// until a session first evaluates.
 struct OnlineModel {
   std::shared_ptr<DatalogContext> ctx;
-  Program base_program;
+  std::shared_ptr<const Program> base_program;
   std::string supervisor;
   std::vector<std::string> observed_peers;
 
@@ -66,7 +68,8 @@ class OnlineDiagnoser {
                                           const OnlineOptions& options);
 
   /// A session over a prebuilt model, sharing the model's DatalogContext
-  /// (and therefore its term arena) with every other session of the model.
+  /// (and therefore its term arena) and base program with every other
+  /// session of the model. Copies no rule and builds no Database.
   static OnlineDiagnoser CreateShared(const OnlineModel& model,
                                       const OnlineOptions& options);
 
@@ -89,9 +92,10 @@ class OnlineDiagnoser {
   Status ObserveCached(const petri::Alarm& alarm,
                        std::vector<Explanation> explanations);
 
-  /// Applies the alarm's state mutation only; the current answer becomes
-  /// unknown (computed on the next Current/Observe). Hibernation restore
-  /// replays a session's alarm history through this.
+  /// Applies the alarm's state mutation only (a chain-edge record and a
+  /// counter bump; no rule is built); the current answer becomes unknown
+  /// (computed on the next Current/Observe). Hibernation restore replays a
+  /// session's alarm history through this.
   Status ApplyObservationOnly(const petri::Alarm& alarm);
 
   /// Installs `explanations` as the (already computed) current answer.
@@ -102,21 +106,26 @@ class OnlineDiagnoser {
   StatusOr<std::vector<Explanation>> Current();
 
   /// Alarms observed so far.
-  size_t num_observed() const { return step_; }
+  size_t num_observed() const { return edges_.size(); }
 
   /// Facts accumulated across all steps (monotone; the reuse measure).
-  size_t total_facts() const { return db_->TotalFacts(); }
+  /// 0 until the first evaluation builds the Database.
+  size_t total_facts() const { return db_ ? db_->TotalFacts() : 0; }
 
   /// New facts derived by the most recent evaluation only.
   size_t last_step_new_facts() const { return last_new_facts_; }
 
-  /// Rules currently in the program: base rules + one chain-edge fact per
-  /// observed alarm + at most one versioned query rule. The bound is the
-  /// regression pin for the query-rule pruning fix.
-  size_t num_rules() const { return program_.rules.size(); }
+  /// Rules of the session's program: base + one chain-edge fact per alarm
+  /// + at most one versioned query rule. Counts the built program's actual
+  /// rules (plus edges not yet turned into rules): the regression pin for
+  /// query-rule pruning and for Observe's rollback.
+  size_t num_rules() const {
+    return (db_ ? program_.rules.size() - rule_edges_ : base_->rules.size()) +
+           edges_.size();
+  }
 
   /// Rules the session started with (before any alarm).
-  size_t base_rules() const { return base_rules_; }
+  size_t base_rules() const { return base_->rules.size(); }
 
   /// Whether the current answer is cached (no evaluation on Current()).
   bool has_current() const { return has_current_; }
@@ -130,31 +139,40 @@ class OnlineDiagnoser {
  private:
   OnlineDiagnoser() = default;
 
-  /// Emits the versioned query rule q_<step> for the current per-peer
-  /// positions — at most once per step, pruning the superseded rule — and
-  /// evaluates it. On failure the emitted rule is removed again.
+  /// One observed alarm: the chain edge st_<peer>_<position> --symbol-->
+  /// st_<peer>_<position+1>, kept as data until an evaluation needs it.
+  struct Edge {
+    size_t peer;  // index into observed_peers_
+    std::string symbol;
+    uint32_t position;
+  };
+
+  /// Builds the Database and base program on first use, appends the rules
+  /// of edges observed since the last evaluation, then emits the versioned
+  /// query rule q_<step> for the current per-peer positions — at most once
+  /// per step — and evaluates it. On failure the emitted query rule is
+  /// removed again.
   StatusOr<std::vector<Explanation>> Solve();
 
-  /// Removes the resident versioned query rule, if any.
+  /// Removes the resident versioned query rule (always the last rule).
   void PruneQueryRule();
 
   OnlineOptions options_;
   std::shared_ptr<DatalogContext> ctx_;
-  std::unique_ptr<Database> db_;
-  Program program_;
+  std::shared_ptr<const Program> base_;
   std::string supervisor_;
   std::vector<std::string> observed_peers_;
+  std::vector<uint32_t> counts_;  // alarms per observed peer
+  std::vector<Edge> edges_;       // in observation order
+  // Evaluation state, built by the first Solve: the Database and the
+  // program base + rules of edges_[0, rule_edges_) + the query rule.
+  std::unique_ptr<Database> db_;
+  Program program_;
+  size_t rule_edges_ = 0;
+  bool query_rule_present_ = false;
   bool has_current_ = false;
   std::vector<Explanation> current_explanations_;
-  std::map<std::string, uint32_t> counts_;
-  size_t step_ = 0;
   size_t last_new_facts_ = 0;
-  size_t base_rules_ = 0;
-  // The one resident versioned query rule (satellites: emitted at most
-  // once per step, superseded rules pruned).
-  bool query_rule_present_ = false;
-  size_t query_rule_index_ = 0;
-  size_t query_rule_step_ = 0;
 };
 
 }  // namespace dqsq::diagnosis

@@ -9,8 +9,14 @@ namespace dqsq::diagnosis {
 
 namespace {
 
-void UpdateGauge(const char* name, int64_t value) {
-  MetricsRegistry::Global().GetGauge(name).Set(value);
+// Registry handles: each call site resolves its series once, on first use
+// (so a snapshot lists exactly the series touched so far), and then holds
+// it, so the alarm path takes no registry mutex and no string-keyed lookup.
+void SetGauges(size_t sessions, size_t resident) {
+  static Gauge& s = MetricsRegistry::Global().GetGauge("diag.service.sessions");
+  static Gauge& r = MetricsRegistry::Global().GetGauge("diag.service.resident");
+  s.Set(static_cast<int64_t>(sessions));
+  r.Set(static_cast<int64_t>(resident));
 }
 
 void FnvStr(uint64_t& h, const std::string& s) {
@@ -72,9 +78,16 @@ void EncodeExplanations(const std::vector<Explanation>& explanations,
 }
 
 std::vector<Explanation> DecodeExplanations(dist::SnapshotReader& r) {
-  std::vector<Explanation> out(r.U32());
+  // A count the remaining bytes cannot hold (>= 4 bytes per explanation,
+  // >= 8 per event) is corruption: refuse it before it sizes a vector.
+  auto count = [&r](size_t min_bytes) {
+    const uint32_t n = r.U32();
+    DQSQ_CHECK_LE(n, r.remaining() / min_bytes) << "truncated snapshot";
+    return n;
+  };
+  std::vector<Explanation> out(count(4));
   for (Explanation& e : out) {
-    e.events.resize(r.U32());
+    e.events.resize(count(8));
     for (std::string& event : e.events) event = r.Str();
   }
   return out;
@@ -136,7 +149,9 @@ Status DiagnosisService::UnregisterModel(const std::string& model) {
     if (s->model_name == model) DQSQ_RETURN_IF_ERROR(HibernateSession(*s));
   }
   models_.erase(it);
-  CountMetric("diag.service.models_unregistered");
+  static Counter& unregistered =
+      MetricsRegistry::Global().GetCounter("diag.service.models_unregistered");
+  unregistered.Increment();
   return Status::Ok();
 }
 
@@ -163,7 +178,9 @@ Status DiagnosisService::OpenSession(const std::string& session,
     return AlreadyExistsError("session already open: " + session);
   }
   if (sessions_.size() >= options_.max_sessions) {
-    CountMetric("diag.service.sessions_rejected");
+    static Counter& rejected =
+        MetricsRegistry::Global().GetCounter("diag.service.sessions_rejected");
+    rejected.Increment();
     return ResourceExhaustedError(
         "admission: session cap reached (" +
         std::to_string(options_.max_sessions) + ")");
@@ -182,11 +199,11 @@ Status DiagnosisService::OpenSession(const std::string& session,
   s->lru_pos = resident_lru_.insert(resident_lru_.begin(), s.get());
   Session* raw = s.get();
   sessions_.emplace(session, std::move(s));
-  CountMetric("diag.service.sessions_admitted");
+  static Counter& admitted =
+      MetricsRegistry::Global().GetCounter("diag.service.sessions_admitted");
+  admitted.Increment();
   Status cap = EnforceResidencyCap(raw);
-  UpdateGauge("diag.service.sessions", static_cast<int64_t>(sessions_.size()));
-  UpdateGauge("diag.service.resident",
-              static_cast<int64_t>(resident_lru_.size()));
+  SetGauges(sessions_.size(), resident_lru_.size());
   return cap;
 }
 
@@ -198,10 +215,10 @@ Status DiagnosisService::CloseSession(const std::string& session) {
   Session& s = *it->second;
   if (s.diagnoser) resident_lru_.erase(s.lru_pos);
   sessions_.erase(it);
-  CountMetric("diag.service.sessions_closed");
-  UpdateGauge("diag.service.sessions", static_cast<int64_t>(sessions_.size()));
-  UpdateGauge("diag.service.resident",
-              static_cast<int64_t>(resident_lru_.size()));
+  static Counter& closed =
+      MetricsRegistry::Global().GetCounter("diag.service.sessions_closed");
+  closed.Increment();
+  SetGauges(sessions_.size(), resident_lru_.size());
   return Status::Ok();
 }
 
@@ -243,11 +260,14 @@ StatusOr<std::vector<Explanation>> DiagnosisService::Observe(
     const std::string& session, const petri::Alarm& alarm) {
   Session* s = FindSession(session);
   if (s == nullptr) return NotFoundError("unknown session: " + session);
-  ScopedTimer timer(TimeMetric("diag.service.alarm_latency"));
+  static Histogram& latency = TimeMetric("diag.service.alarm_latency");
+  ScopedTimer timer(latency);
   DQSQ_ASSIGN_OR_RETURN(ModelEntry * entry, ResolveModel(*s));
   DQSQ_RETURN_IF_ERROR(EnsureResident(*s));
   TouchResident(*s);
-  CountMetric("diag.service.alarms");
+  static Counter& alarms =
+      MetricsRegistry::Global().GetCounter("diag.service.alarms");
+  alarms.Increment();
 
   // Key of the prefix this alarm would produce. An unknown-peer alarm
   // yields a key no successful observation can ever have cached, so the
@@ -262,10 +282,14 @@ StatusOr<std::vector<Explanation>> DiagnosisService::Observe(
     std::vector<Explanation> explanations = DecodeExplanations(r);
     DQSQ_RETURN_IF_ERROR(s->diagnoser->ObserveCached(alarm, explanations));
     s->history.push_back(alarm);
-    CountMetric("diag.service.cache_hits");
+    static Counter& cache_hits =
+        MetricsRegistry::Global().GetCounter("diag.service.cache_hits");
+    cache_hits.Increment();
     return explanations;
   }
-  CountMetric("diag.service.cache_misses");
+  static Counter& cache_misses =
+      MetricsRegistry::Global().GetCounter("diag.service.cache_misses");
+  cache_misses.Increment();
 
   StatusOr<std::vector<Explanation>> result = s->diagnoser->Observe(alarm);
   if (!result.ok()) return result;  // Observe is transactional: no cleanup
@@ -321,9 +345,10 @@ Status DiagnosisService::HibernateSession(Session& s) {
   store_->Put(StoreKey(s), SerializeSession(s));
   resident_lru_.erase(s.lru_pos);
   s.diagnoser.reset();
-  CountMetric("diag.service.sessions_hibernated");
-  UpdateGauge("diag.service.resident",
-              static_cast<int64_t>(resident_lru_.size()));
+  static Counter& hibernated =
+      MetricsRegistry::Global().GetCounter("diag.service.sessions_hibernated");
+  hibernated.Increment();
+  SetGauges(sessions_.size(), resident_lru_.size());
   return Status::Ok();
 }
 
@@ -369,10 +394,11 @@ Status DiagnosisService::EnsureResident(Session& s) {
   s.history = std::move(history);
   s.diagnoser = std::move(d);
   s.lru_pos = resident_lru_.insert(resident_lru_.begin(), &s);
-  CountMetric("diag.service.sessions_restored");
+  static Counter& restored =
+      MetricsRegistry::Global().GetCounter("diag.service.sessions_restored");
+  restored.Increment();
   Status cap = EnforceResidencyCap(&s);
-  UpdateGauge("diag.service.resident",
-              static_cast<int64_t>(resident_lru_.size()));
+  SetGauges(sessions_.size(), resident_lru_.size());
   return cap;
 }
 

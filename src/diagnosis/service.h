@@ -18,12 +18,12 @@
 //    under session_max_facts (adjustable per session for differentiated
 //    tiers).
 //  * Cold-session hibernation. At most max_resident_sessions keep their
-//    diagnoser (program + database) in memory; colder sessions are
-//    serialized through the PeerSnapshot byte codec (dist/snapshot.h) into
-//    a DurableStore and rebuilt on their next alarm. The hibernation image
-//    is the session's alarm history plus its cached answer — restore
-//    replays the history into a fresh diagnoser (no evaluation), and the
-//    shared prefix cache makes the next cold query cheap.
+//    diagnoser in memory; colder sessions are serialized through the
+//    PeerSnapshot byte codec (dist/snapshot.h) into a DurableStore and
+//    rebuilt on their next alarm. The hibernation image is the session's
+//    alarm history plus its cached answer — restore replays the history
+//    into a fresh diagnoser as edge records (no rule, no database, no
+//    evaluation), and the shared prefix cache makes the next query cheap.
 //
 // Single-threaded by design, like the evaluation core: one service
 // instance per serving thread, models shared read-only. Metrics are

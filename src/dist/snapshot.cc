@@ -38,7 +38,8 @@ uint64_t SnapshotReader::U64() {
 
 std::string SnapshotReader::Str() {
   uint64_t n = U64();
-  DQSQ_CHECK_LE(pos_ + n, in_.size()) << "truncated snapshot";
+  // n <= remaining(), not pos + n <= size: the sum wraps for huge n.
+  DQSQ_CHECK_LE(n, remaining()) << "truncated snapshot";
   std::string s(in_.substr(pos_, n));
   pos_ += n;
   return s;

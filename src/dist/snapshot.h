@@ -63,6 +63,8 @@ class SnapshotReader {
   std::string Str();
 
   bool AtEnd() const { return pos_ == in_.size(); }
+  /// Bytes not yet read: bounds a decoded count before it sizes anything.
+  size_t remaining() const { return in_.size() - pos_; }
 
  private:
   std::string_view in_;

@@ -238,5 +238,99 @@ TEST(OnlineDiagnoserTest, ObserveCachedMatchesEvaluatedAnswers) {
   EXPECT_EQ(*fresh2, *step2);
 }
 
+TEST(OnlineDiagnoserTest, CreateSharedSharesTheBaseProgram) {
+  // A session is a cursor over the model: it holds the model's base
+  // program by pointer, so opening one copies no rule and builds no
+  // Database, and evaluating in one leaves the shared program untouched.
+  petri::PetriNet net = petri::MakePaperNet();
+  auto model = OnlineModel::Build(net);
+  ASSERT_TRUE(model.ok());
+  const Program* base = model->base_program.get();
+  const size_t base_size = base->rules.size();
+  const long users = model->base_program.use_count();
+
+  OnlineDiagnoser a = OnlineDiagnoser::CreateShared(*model, OnlineOptions{});
+  OnlineDiagnoser b = OnlineDiagnoser::CreateShared(*model, OnlineOptions{});
+  EXPECT_EQ(model->base_program.use_count(), users + 2);
+  EXPECT_EQ(model->base_program.get(), base);
+  EXPECT_EQ(a.base_rules(), base_size);
+  EXPECT_EQ(a.num_rules(), base_size);
+  EXPECT_EQ(a.total_facts(), 0u);
+
+  ASSERT_TRUE(a.Observe({"b", "p1"}).ok());
+  EXPECT_GT(a.total_facts(), 0u);
+  EXPECT_EQ(base->rules.size(), base_size);
+  EXPECT_EQ(b.total_facts(), 0u);  // b's evaluation state is its own
+}
+
+TEST(OnlineDiagnoserTest, CacheHitOnlySessionHoldsNoDatabase) {
+  // A session advanced only through ObserveCached keeps its chain edges as
+  // data: no Database, and num_rules() counts base + edges. The first
+  // evaluation then builds exactly the program an evaluating session has.
+  petri::PetriNet net = petri::MakePaperNet(/*with_loop=*/true);
+  petri::AlarmSequence alarms = petri::MakeAlarms(
+      {{"a", "p2"}, {"b", "p1"}, {"c", "p2"}, {"a", "p2"}});
+  auto evaluated = OnlineDiagnoser::Create(net, OnlineOptions{});
+  auto cursor = OnlineDiagnoser::Create(net, OnlineOptions{});
+  ASSERT_TRUE(evaluated.ok());
+  ASSERT_TRUE(cursor.ok());
+  const size_t base = cursor->base_rules();
+
+  for (size_t i = 0; i + 1 < alarms.size(); ++i) {
+    auto answer = evaluated->Observe(alarms[i]);
+    ASSERT_TRUE(answer.ok());
+    ASSERT_TRUE(cursor->ObserveCached(alarms[i], *answer).ok());
+    EXPECT_EQ(cursor->total_facts(), 0u);
+    EXPECT_EQ(cursor->num_rules(), base + i + 1);
+  }
+  ASSERT_TRUE(cursor->Current().ok());  // cached: still nothing evaluated
+  EXPECT_EQ(cursor->total_facts(), 0u);
+
+  auto expected = evaluated->Observe(alarms.back());
+  auto first_miss = cursor->Observe(alarms.back());
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(first_miss.ok()) << first_miss.status().ToString();
+  EXPECT_EQ(*first_miss, *expected);
+  EXPECT_EQ(*first_miss, Batch(net, alarms));
+  EXPECT_GT(cursor->total_facts(), 0u);
+  EXPECT_EQ(cursor->num_rules(), evaluated->num_rules());
+  EXPECT_EQ(cursor->num_rules(), base + alarms.size() + 1);
+}
+
+TEST(OnlineDiagnoserTest, FirstMissAfterReplayFailsCleanlyThenRetries) {
+  // A restored session (history replayed through ApplyObservationOnly)
+  // whose first evaluation fails on budget must roll back to the replayed
+  // state, and the retry must give the answers of a fresh diagnoser.
+  petri::PetriNet net = petri::MakePaperNet();
+  petri::AlarmSequence alarms =
+      petri::MakeAlarms({{"b", "p1"}, {"a", "p2"}, {"c", "p1"}});
+  OnlineOptions tiny;
+  tiny.max_facts = 1;
+  auto restored = OnlineDiagnoser::Create(net, tiny);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE(restored->ApplyObservationOnly(alarms[0]).ok());
+  ASSERT_TRUE(restored->ApplyObservationOnly(alarms[1]).ok());
+  const size_t rules = restored->num_rules();
+
+  ASSERT_FALSE(restored->Observe(alarms[2]).ok());
+  EXPECT_EQ(restored->num_observed(), 2u);
+  EXPECT_EQ(restored->num_rules(), rules);
+  ASSERT_FALSE(restored->Observe(alarms[2]).ok());
+  EXPECT_EQ(restored->num_rules(), rules);
+
+  restored->set_max_facts(5'000'000);
+  auto retried = restored->Observe(alarms[2]);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  auto fresh = OnlineDiagnoser::Create(net, OnlineOptions{});
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh->Observe(alarms[0]).ok());
+  ASSERT_TRUE(fresh->Observe(alarms[1]).ok());
+  auto expected = fresh->Observe(alarms[2]);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(*retried, *expected);
+  EXPECT_EQ(restored->num_observed(), 3u);
+  EXPECT_EQ(restored->num_rules(), fresh->num_rules());
+}
+
 }  // namespace
 }  // namespace dqsq::diagnosis

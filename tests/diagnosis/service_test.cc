@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "diagnosis/diagnoser.h"
 #include "petri/examples.h"
 
@@ -291,6 +296,143 @@ TEST(DiagnosisServiceTest, PrefixKeyIsInterleavingInvariant) {
       petri::MakeAlarms({{"c", "p1"}, {"b", "p1"}, {"a", "p2"}}));
   EXPECT_EQ(k1, k2);   // same per-peer subsequences
   EXPECT_NE(k1, k3);   // p1's order differs
+}
+
+TEST(DiagnosisServiceTest, FirstMissAfterRestoreFailsCleanlyThenRetries) {
+  // A restored session builds its evaluation state on its first cache
+  // miss. If that evaluation fails on budget, the session must be exactly
+  // as it was restored (same image at the store) and the retry must
+  // answer as a fresh diagnosis does.
+  dist::InMemoryDurableStore store;
+  ServiceOptions opts;
+  opts.store = &store;
+  DiagnosisService service(opts);
+  petri::PetriNet net = petri::MakePaperNet();
+  ASSERT_TRUE(service.RegisterModel("paper", net).ok());
+  ASSERT_TRUE(service.OpenSession("plant", "paper").ok());
+  ASSERT_TRUE(service.Observe("plant", {"b", "p1"}).ok());
+  ASSERT_TRUE(service.Observe("plant", {"a", "p2"}).ok());
+  ASSERT_TRUE(service.Hibernate("plant").ok());
+  auto image = store.Get("diag.session/plant");
+  ASSERT_TRUE(image.has_value());
+
+  ASSERT_TRUE(service.SetSessionBudget("plant", 1).ok());
+  EXPECT_FALSE(service.Observe("plant", {"c", "p1"}).ok());
+  EXPECT_TRUE(service.is_resident("plant"));
+  EXPECT_FALSE(service.Observe("plant", {"c", "p1"}).ok());
+  auto observed = service.NumObserved("plant");
+  ASSERT_TRUE(observed.ok());
+  EXPECT_EQ(*observed, 2u);
+  ASSERT_TRUE(service.Hibernate("plant").ok());
+  EXPECT_EQ(store.Get("diag.session/plant"), image);
+
+  ASSERT_TRUE(service.SetSessionBudget("plant", 5'000'000).ok());
+  auto retried = service.Observe("plant", {"c", "p1"});
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(*retried, Batch(net, petri::MakeAlarms(
+                                     {{"b", "p1"}, {"a", "p2"}, {"c", "p1"}})));
+}
+
+TEST(DiagnosisServicePropertyTest, InterleavedSessionsMatchBfhjOnEveryPrefix) {
+  // Seeded interleavings of 8 sessions over a resident cap of 2, so nearly
+  // every alarm restores a session, with the prefix cache on (odd seeds)
+  // or off (even seeds) and budget failures injected at random. Every
+  // answer must equal BFHJ's on that session's prefix, and a failed alarm
+  // must leave the session's prefix unchanged.
+  constexpr size_t kSessions = 8;
+  petri::PetriNet net = petri::MakePaperNet(/*with_loop=*/true);
+  std::map<std::string, std::vector<Explanation>> memo;
+  auto bfhj = [&](const petri::AlarmSequence& prefix) {
+    const std::string key = petri::AlarmSequenceToString(prefix);
+    auto it = memo.find(key);
+    if (it == memo.end()) {
+      DiagnosisOptions oracle;
+      oracle.engine = DiagnosisEngine::kBfhj;
+      auto r = Diagnose(net, prefix, oracle);
+      DQSQ_CHECK_OK(r.status());
+      it = memo.emplace(key, r->explanations).first;
+    }
+    return it->second;
+  };
+  size_t injected_failures = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ServiceOptions opts;
+    opts.max_resident_sessions = 2;
+    opts.cache_bytes = seed % 2 == 1 ? (1u << 20) : 0;
+    DiagnosisService service(opts);
+    ASSERT_TRUE(service.RegisterModel("m", net).ok());
+
+    // Sessions draw from a pool of three streams, so prefixes repeat.
+    std::vector<petri::AlarmSequence> pool;
+    while (pool.size() < 3) {
+      auto run = petri::GenerateRun(net, 4, rng);
+      ASSERT_TRUE(run.ok());
+      if (!run->observation.empty()) pool.push_back(run->observation);
+    }
+    std::vector<petri::AlarmSequence> streams, prefixes(kSessions);
+    for (size_t i = 0; i < kSessions; ++i) {
+      streams.push_back(pool[rng.NextBelow(pool.size())]);
+      ASSERT_TRUE(service.OpenSession("s" + std::to_string(i), "m").ok());
+    }
+    std::vector<size_t> open(kSessions);
+    for (size_t i = 0; i < kSessions; ++i) open[i] = i;
+    while (!open.empty()) {
+      const size_t k = rng.NextBelow(open.size());
+      const size_t i = open[k];
+      const std::string name = "s" + std::to_string(i);
+      const petri::Alarm& alarm = streams[i][prefixes[i].size()];
+      bool served = false;
+      if (rng.NextBool(0.25)) {
+        ASSERT_TRUE(service.SetSessionBudget(name, 1).ok());
+        auto starved = service.Observe(name, alarm);
+        ASSERT_TRUE(service.SetSessionBudget(name, 5'000'000).ok());
+        if (starved.ok()) {  // a cache hit needs no budget
+          prefixes[i].push_back(alarm);
+          ASSERT_EQ(*starved, bfhj(prefixes[i]));
+          served = true;
+        } else {
+          ++injected_failures;
+          auto observed = service.NumObserved(name);
+          ASSERT_TRUE(observed.ok());
+          ASSERT_EQ(*observed, prefixes[i].size());
+        }
+      }
+      if (!served) {
+        auto answer = service.Observe(name, alarm);
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        prefixes[i].push_back(alarm);
+        ASSERT_EQ(*answer, bfhj(prefixes[i]));
+      }
+      if (prefixes[i].size() == streams[i].size()) {
+        auto current = service.Current(name);
+        ASSERT_TRUE(current.ok());
+        ASSERT_EQ(*current, bfhj(prefixes[i]));
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+    }
+  }
+  EXPECT_GT(injected_failures, 0u);
+}
+
+TEST(DiagnosisServiceDeathTest, CorruptExplanationCountsAbort) {
+  // A count larger than the remaining bytes could hold is refused before
+  // it sizes a vector (up to 4 billion explanations or events).
+  dist::SnapshotWriter explanations;
+  explanations.U32(0xffffffffu);
+  explanations.U32(0);
+  const std::string blob1 = explanations.Take();
+  dist::SnapshotReader r1(blob1);
+  EXPECT_DEATH((void)DecodeExplanations(r1), "truncated snapshot");
+
+  dist::SnapshotWriter events;
+  events.U32(1);
+  events.U32(1u << 30);
+  events.Str("e1");
+  const std::string blob2 = events.Take();
+  dist::SnapshotReader r2(blob2);
+  EXPECT_DEATH((void)DecodeExplanations(r2), "truncated snapshot");
 }
 
 }  // namespace

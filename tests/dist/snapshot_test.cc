@@ -46,6 +46,18 @@ TEST(SnapshotCodecDeathTest, TruncatedReadAborts) {
   EXPECT_DEATH((void)r.U64(), "truncated");
 }
 
+TEST(SnapshotCodecDeathTest, WrappingStringLengthAborts) {
+  // A length of 2^64 - 4 makes pos + n wrap around to a small number; the
+  // check must compare n against the bytes left instead, or the reader
+  // silently rewinds and re-reads earlier bytes.
+  SnapshotWriter w;
+  w.U64(~uint64_t{0} - 3);
+  w.Str("tail");
+  const std::string bytes = w.bytes();
+  SnapshotReader r(bytes);
+  EXPECT_DEATH((void)r.Str(), "truncated snapshot");
+}
+
 TEST(SnapshotCodecTest, PatternRoundTripsNestedApplications) {
   const Pattern p = Pattern::App(
       7, {Pattern::Var(0), Pattern::Const(3),

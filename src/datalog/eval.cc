@@ -9,17 +9,94 @@
 
 namespace dqsq {
 
+// Dense per-stratum layout: every relation a stratum's rules read or
+// write gets a slot id, and each slot lists the rules that read it.
+struct CompiledProgram::Impl {
+  struct CompiledRule {
+    const Rule* rule = nullptr;
+    RulePlan plan;                     // compiled on the stratum's first run
+    std::vector<uint32_t> body_slots;  // slot of each body atom
+    uint32_t head_slot = 0;
+  };
+  struct Stratum {
+    std::vector<CompiledRule> rules;  // program order
+    std::vector<RelId> slot_rels;     // slot -> relation
+    // slot -> indices into `rules` of the rules reading it, ascending.
+    std::vector<std::vector<uint32_t>> readers;
+    size_t max_atoms = 0;
+    bool planned = false;
+  };
+  // Round snapshot of one slot: rows [0, base) are old, [base, cur) are
+  // the delta; rows at or past cur were appended during this round.
+  struct Slot {
+    Relation* relation = nullptr;  // nullptr until the relation exists
+    uint32_t base = 0;
+    uint32_t cur = 0;
+    bool touched = false;  // appended to during this round
+  };
+
+  std::vector<Stratum> strata;  // non-empty strata, ascending
+  size_t num_rules = 0;
+
+  // Run buffers, kept across runs so a warm run allocates nothing.
+  std::vector<Slot> slots;
+  std::vector<uint32_t> touched;    // slots appended to this round
+  std::vector<uint32_t> delta;      // slots with a non-empty delta
+  std::vector<uint32_t> scheduled;  // rule indices to run this round
+  std::vector<uint8_t> is_scheduled;
+  JoinScratch scratch;
+};
+
 namespace {
 
-// Evaluation of one program over one database. Semi-naive bookkeeping is
-// row-count based: each relation's rows appended during round r form the
-// delta consumed in round r+1. Rule bodies run through the batched join
-// kernel (join_kernel.h); this class supplies the snapshot row ranges and
-// the head emission.
+using Impl = CompiledProgram::Impl;
+
+// `datalog.eval.*` handles for one mode label, resolved on the first run
+// in that mode (so a snapshot lists a mode's series only once it ran).
+struct EvalMetrics {
+  EvalMetrics(MetricsRegistry& r, const Labels& mode)
+      : runs(r.GetCounter("datalog.eval.runs", mode)),
+        rounds(r.GetCounter("datalog.eval.rounds", mode)),
+        facts_derived(
+            r.GetCounter("datalog.eval.facts_derived", mode, "facts")),
+        rule_firings(r.GetCounter("datalog.eval.rule_firings", mode)),
+        join_probes(r.GetCounter("datalog.eval.join_probes", mode, "rows")),
+        depth_pruned(
+            r.GetCounter("datalog.eval.depth_pruned", mode, "facts")),
+        delta_rows(r.GetCounter("datalog.eval.delta_rows", mode, "rows")),
+        budget_facts_used(
+            r.GetGauge("datalog.eval.budget_facts_used", mode, "facts")) {}
+
+  Counter& runs;
+  Counter& rounds;
+  Counter& facts_derived;
+  Counter& rule_firings;
+  Counter& join_probes;
+  Counter& depth_pruned;
+  Counter& delta_rows;
+  Gauge& budget_facts_used;
+};
+
+const EvalMetrics& MetricsFor(bool seminaive) {
+  if (seminaive) {
+    static const EvalMetrics seminaive_metrics(MetricsRegistry::Global(),
+                                               {{"mode", "seminaive"}});
+    return seminaive_metrics;
+  }
+  static const EvalMetrics naive_metrics(MetricsRegistry::Global(),
+                                         {{"mode", "naive"}});
+  return naive_metrics;
+}
+
+// One run of a compiled program over one database. Semi-naive bookkeeping
+// is row-count based: each relation's rows appended during round r form
+// the delta consumed in round r+1. Rule bodies run through the batched
+// join kernel (join_kernel.h); this class supplies the snapshot row ranges
+// and the head emission.
 class Evaluator : public JoinHost {
  public:
-  Evaluator(const Program& program, Database& db, const EvalOptions& options)
-      : program_(program), db_(db), options_(options) {}
+  Evaluator(Impl& program, Database& db, const EvalOptions& options)
+      : p_(program), db_(db), options_(options) {}
 
   StatusOr<EvalStats> Run() {
     initial_facts_ = db_.TotalFacts();
@@ -30,45 +107,22 @@ class Evaluator : public JoinHost {
   }
 
  private:
-  struct Snapshot {
-    const Relation* relation = nullptr;  // stable: map nodes never move
-    size_t base = 0;  // rows before the previous round
-    size_t cur = 0;   // rows at the start of this round
-  };
-
-  // Cached pointer to a body atom's snapshot entry. `gen` records the
-  // relation-map generation of the last failed lookup, so atoms over
-  // relations that never materialize (common in rewrite output) cost one
-  // comparison per round instead of a hash lookup.
-  struct SnapRef {
-    const Snapshot* snap = nullptr;
-    size_t gen = 0;
-  };
+  using Slot = Impl::Slot;
+  using CompiledRule = Impl::CompiledRule;
 
   // Per-execution kernel context: where the delta is placed in the body
-  // (body.size() = full snapshot scan, used by naive mode and round 0),
-  // plus the plan's snapshot-pointer cache (see EvalRule).
+  // (body.size() = full snapshot scan, used by naive mode and round 0).
   struct EvalCtx {
     size_t delta_pos;
-    std::vector<SnapRef>* snaps;
+    const CompiledRule* rule;
   };
 
   Status RunImpl() {
-    // Stratified evaluation: rules of stratum 0, 1, ... to their own
-    // fixpoints in order, so every negated relation is complete before it
-    // is read. Positive programs form a single stratum.
-    DQSQ_ASSIGN_OR_RETURN(std::vector<uint32_t> strata,
-                          StratifyProgram(program_, db_.ctx()));
-    uint32_t max_stratum = 0;
-    for (uint32_t s : strata) max_stratum = std::max(max_stratum, s);
-    std::vector<const Rule*> layer;
-    for (uint32_t stratum = 0; stratum <= max_stratum; ++stratum) {
-      layer.clear();
-      for (size_t i = 0; i < program_.rules.size(); ++i) {
-        if (strata[i] == stratum) layer.push_back(&program_.rules[i]);
-      }
-      if (layer.empty()) continue;
-      DQSQ_RETURN_IF_ERROR(RunLayer(layer));
+    // Stratified evaluation: each stratum to its own fixpoint in order, so
+    // every negated relation is complete before it is read. Positive
+    // programs form a single stratum.
+    for (Impl::Stratum& stratum : p_.strata) {
+      DQSQ_RETURN_IF_ERROR(RunStratum(stratum));
     }
     return Status::Ok();
   }
@@ -76,45 +130,45 @@ class Evaluator : public JoinHost {
   // One registry update per evaluation (also on error paths): the hot
   // loops accumulate into plain size_t fields and the totals land here.
   void FlushMetrics() {
-    auto& registry = MetricsRegistry::Global();
-    Labels mode{{"mode", options_.seminaive ? "seminaive" : "naive"}};
-    registry.GetCounter("datalog.eval.runs", mode).Increment();
-    registry.GetCounter("datalog.eval.rounds", mode).Increment(stats_.rounds);
-    registry.GetCounter("datalog.eval.facts_derived", mode, "facts")
-        .Increment(stats_.facts_derived);
-    registry.GetCounter("datalog.eval.rule_firings", mode)
-        .Increment(stats_.rule_firings);
-    registry.GetCounter("datalog.eval.join_probes", mode, "rows")
-        .Increment(stats_.join_probes);
-    registry.GetCounter("datalog.eval.depth_pruned", mode, "facts")
-        .Increment(stats_.depth_pruned);
-    registry.GetCounter("datalog.eval.delta_rows", mode, "rows")
-        .Increment(delta_rows_);
-    registry.GetGauge("datalog.eval.budget_facts_used", mode, "facts")
-        .Set(static_cast<int64_t>(db_.TotalFacts()));
+    const EvalMetrics& m = MetricsFor(options_.seminaive);
+    m.runs.Increment();
+    m.rounds.Increment(stats_.rounds);
+    m.facts_derived.Increment(stats_.facts_derived);
+    m.rule_firings.Increment(stats_.rule_firings);
+    m.join_probes.Increment(stats_.join_probes);
+    m.depth_pruned.Increment(stats_.depth_pruned);
+    m.delta_rows.Increment(delta_rows_);
+    // TotalFacts() == initial_facts_ + facts_derived: this evaluator is the
+    // only writer, and every successful insert is counted.
+    m.budget_facts_used.Set(
+        static_cast<int64_t>(initial_facts_ + stats_.facts_derived));
   }
 
-  Status RunLayer(const std::vector<const Rule*>& layer) {
-    // Compile each rule's body once per layer; the plans ground every
-    // constant pattern up front, so the per-row loops never re-intern.
-    std::vector<RulePlan> plans;
-    plans.reserve(layer.size());
-    size_t max_atoms = 0;
-    for (const Rule* rule : layer) {
-      plans.push_back(CompileRulePlan(*rule, {}, db_.ctx().arena()));
-      max_atoms = std::max(max_atoms, rule->body.size());
+  Status RunStratum(Impl::Stratum& stratum) {
+    if (!stratum.planned) {
+      // Plans ground every constant body pattern up front, so the per-row
+      // loops never re-intern. They are compiled when the stratum first
+      // runs, not in Compile: interning a later stratum's constants before
+      // the earlier strata derive their terms would renumber terms.
+      for (CompiledRule& r : stratum.rules) {
+        r.plan = CompileRulePlan(*r.rule, {}, db_.ctx().arena());
+      }
+      stratum.planned = true;
     }
-    if (scratch_.levels.size() < max_atoms) scratch_.levels.resize(max_atoms);
-    // Per-plan caches of snapshot entry pointers, one per body atom.
-    std::vector<std::vector<SnapRef>> plan_snaps(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      plan_snaps[i].assign(plans[i].atoms.size(), SnapRef{});
+    if (p_.scratch.levels.size() < stratum.max_atoms) {
+      p_.scratch.levels.resize(stratum.max_atoms);
     }
+    // Round-0 snapshot: every slot's extent as the stratum starts.
+    p_.slots.resize(stratum.slot_rels.size());
+    for (size_t s = 0; s < stratum.slot_rels.size(); ++s) {
+      Relation* rel = db_.FindMutable(stratum.slot_rels[s]);
+      uint32_t rows = rel == nullptr ? 0 : static_cast<uint32_t>(rel->size());
+      p_.slots[s] = Slot{rel, rows, rows, false};
+    }
+    p_.touched.clear();
+    p_.delta.clear();
+    p_.is_scheduled.assign(stratum.rules.size(), 0);
 
-    // Snapshot maps: base = size at start of previous round (old rows),
-    // cur = size at start of this round. Delta = [base, cur).
-    snapshots_.clear();
-    known_relations_ = 0;
     for (size_t round = 0;; ++round) {
       if (round >= options_.max_rounds) {
         CountMetric("datalog.eval.budget_exhausted", 1,
@@ -122,11 +176,25 @@ class Evaluator : public JoinHost {
         return ResourceExhaustedError("evaluation exceeded max_rounds");
       }
       ++stats_.rounds;
-      TakeSnapshot();
+      if (round == 0) {
+        // Round 0 joins over everything the database holds: all of it
+        // enters this stratum's first delta.
+        delta_rows_ += initial_facts_ + stats_.facts_derived;
+      } else {
+        AdvanceSnapshots();
+      }
       size_t before = stats_.facts_derived;
-      for (size_t i = 0; i < plans.size(); ++i) {
-        Status s = EvalRule(plans[i], plan_snaps[i], round);
-        if (!s.ok()) return s;
+      if (round == 0 || !options_.seminaive) {
+        for (const CompiledRule& r : stratum.rules) {
+          DQSQ_RETURN_IF_ERROR(EvalRule(r, round));
+        }
+      } else {
+        // Only rules reading a slot with a non-empty delta can derive
+        // anything; run them in program order.
+        ScheduleReaders(stratum);
+        for (uint32_t i : p_.scheduled) {
+          DQSQ_RETURN_IF_ERROR(EvalRule(stratum.rules[i], round));
+        }
       }
       if (options_.round_hook != nullptr) {
         options_.round_hook(options_.round_hook_ctx, round);
@@ -136,89 +204,60 @@ class Evaluator : public JoinHost {
     return Status::Ok();
   }
 
-  void TakeSnapshot() {
-    for (auto& [rel, snap] : snapshots_) {
-      snap.base = snap.cur;
-      snap.cur = snap.relation->size();
-      delta_rows_ += snap.cur - snap.base;
+  // Starts a round: last round's delta becomes old, and the rows appended
+  // during last round become the new delta.
+  void AdvanceSnapshots() {
+    for (uint32_t s : p_.delta) p_.slots[s].base = p_.slots[s].cur;
+    p_.delta.swap(p_.touched);
+    p_.touched.clear();
+    for (uint32_t s : p_.delta) {
+      Slot& slot = p_.slots[s];
+      slot.touched = false;
+      slot.cur = static_cast<uint32_t>(slot.relation->size());
+      delta_rows_ += slot.cur - slot.base;
     }
-    // Relations that appeared since the last scan. Relations are only ever
-    // added during evaluation, so a stable map size means nothing is new
-    // and the full walk (hash lookup per relation per round) is skipped.
-    if (db_.relation_map().size() != known_relations_) {
-      for (const auto& [rel, relation] : db_.relation_map()) {
-        if (!snapshots_.contains(rel)) {
-          snapshots_[rel] = Snapshot{&relation, 0, relation.size()};
-          delta_rows_ += relation.size();
-        }
+  }
+
+  void ScheduleReaders(const Impl::Stratum& stratum) {
+    p_.scheduled.clear();
+    for (uint32_t s : p_.delta) {
+      for (uint32_t i : stratum.readers[s]) {
+        if (p_.is_scheduled[i]) continue;
+        p_.is_scheduled[i] = 1;
+        p_.scheduled.push_back(i);
       }
-      known_relations_ = db_.relation_map().size();
-      ++snap_gen_;
     }
+    std::sort(p_.scheduled.begin(), p_.scheduled.end());
+    for (uint32_t i : p_.scheduled) p_.is_scheduled[i] = 0;
   }
 
-  Snapshot SnapshotFor(const RelId& rel) const {
-    auto it = snapshots_.find(rel);
-    return it == snapshots_.end() ? Snapshot{} : it->second;
-  }
-
-  // Pointer into snapshots_ for `rel`, or nullptr while the relation does
-  // not exist yet. Entry addresses are stable (node-based map, entries
-  // never erased within a layer), so plans cache them: the steady-state
-  // delta checks then cost a pointer read instead of a hash lookup per
-  // rule body atom per round.
-  const Snapshot* FindSnapshot(const RelId& rel) const {
-    auto it = snapshots_.find(rel);
-    return it == snapshots_.end() ? nullptr : &it->second;
-  }
-
-  // Cached snapshot pointer for body position `pos`, resolving (and
-  // memoizing) on first sight of the relation; while the relation is
-  // absent, re-resolves only after the relation map has grown.
-  Snapshot SnapAt(const RulePlan& plan, std::vector<SnapRef>& snaps,
-                  size_t pos) const {
-    SnapRef& ref = snaps[pos];
-    if (ref.snap == nullptr) {
-      if (ref.gen == snap_gen_) return Snapshot{};
-      ref.snap = FindSnapshot(plan.atoms[pos].atom->rel);
-      ref.gen = snap_gen_;
-      if (ref.snap == nullptr) return Snapshot{};
-    }
-    return *ref.snap;
-  }
-
-  Status EvalRule(const RulePlan& plan, std::vector<SnapRef>& snaps,
-                  size_t round) {
-    const Rule& rule = *plan.rule;
-    // The head relation is looked up lazily on first emission (an eager
-    // GetOrCreate would surface empty relations in Relations()/SaveState
-    // and break distributed byte stability), then cached for the round —
-    // node addresses in the relation map are stable across inserts.
-    head_rel_ = nullptr;
+  Status EvalRule(const CompiledRule& r, size_t round) {
+    const Rule& rule = *r.rule;
+    JoinScratch& scratch = p_.scratch;
     if (rule.body.empty()) {
       // Facts (and rules whose body is only ground negations/diseqs) fire
       // once, in round 0 of their stratum.
       if (round > 0) return Status::Ok();
-      scratch_.Prepare(rule.num_vars, 0);
+      scratch.Prepare(rule.num_vars, 0);
       if (!CheckDiseqs(rule)) return Status::Ok();
       if (!CheckNegatives(rule)) return Status::Ok();
-      return EmitHead(rule);
+      return EmitHead(r);
     }
     if (!options_.seminaive || round == 0) {
       // Full join over the snapshot extents (round 0 seeds the deltas).
-      scratch_.Prepare(rule.num_vars, rule.body.size());
-      EvalCtx ctx{rule.body.size(), &snaps};
-      return ExecuteRulePlan(plan, db_.ctx().arena(), *this, &ctx, scratch_,
+      scratch.Prepare(rule.num_vars, rule.body.size());
+      EvalCtx ctx{rule.body.size(), &r};
+      return ExecuteRulePlan(r.plan, db_.ctx().arena(), *this, &ctx, scratch,
                              &stats_.join_probes);
     }
     // Semi-naive: one pass per body position that has a non-empty delta.
     for (size_t d = 0; d < rule.body.size(); ++d) {
-      Snapshot snap = SnapAt(plan, snaps, d);
-      if (snap.cur == snap.base) continue;
-      scratch_.Prepare(rule.num_vars, rule.body.size());
-      EvalCtx ctx{d, &snaps};
-      DQSQ_RETURN_IF_ERROR(ExecuteRulePlan(plan, db_.ctx().arena(), *this,
-                                           &ctx, scratch_,
+      const Slot& slot = p_.slots[r.body_slots[d]];
+      if (slot.cur == slot.base) continue;
+      scratch.Prepare(rule.num_vars, rule.body.size());
+      EvalCtx ctx{d, &r};
+      DQSQ_RETURN_IF_ERROR(ExecuteRulePlan(r.plan, db_.ctx().arena(), *this,
+                                           &ctx, scratch,
                                            &stats_.join_probes));
     }
     return Status::Ok();
@@ -236,75 +275,71 @@ class Evaluator : public JoinHost {
                        std::span<const TermId> /*key*/,
                        Source* out) override {
     const EvalCtx& ec = *static_cast<const EvalCtx*>(ctx);
-    Snapshot snap = SnapAt(plan, *ec.snaps, pos);
-    size_t lo, hi;
-    if (pos < ec.delta_pos) {
-      lo = 0;
-      hi = snap.base;  // old rows only
-    } else if (pos == ec.delta_pos) {
-      lo = snap.base;
-      hi = snap.cur;
-    } else {
-      lo = 0;
-      hi = snap.cur;
+    const Slot& slot = p_.slots[ec.rule->body_slots[pos]];
+    uint32_t lo = 0;
+    uint32_t hi = slot.cur;
+    if (ec.delta_pos < plan.rule->body.size()) {
+      if (pos < ec.delta_pos) {
+        hi = slot.base;  // old rows only
+      } else if (pos == ec.delta_pos) {
+        lo = slot.base;
+      }
     }
-    if (ec.delta_pos == plan.rule->body.size()) {
-      lo = 0;
-      hi = snap.cur;
-    }
-    // The snapshot already resolved the relation (db_ is mutable here; the
-    // map hands out const refs only through relation_map()).
-    out->rel = lo < hi ? const_cast<Relation*>(snap.relation) : nullptr;
-    out->lo = static_cast<uint32_t>(lo);
-    out->hi = static_cast<uint32_t>(hi);
+    out->rel = lo < hi ? slot.relation : nullptr;
+    out->lo = lo;
+    out->hi = hi;
     return Status::Ok();
   }
 
-  Status OnMatch(const RulePlan& plan, const void* /*ctx*/,
+  Status OnMatch(const RulePlan& /*plan*/, const void* ctx,
                  JoinScratch& /*scratch*/) override {
-    const Rule& rule = *plan.rule;
-    if (!CheckDiseqs(rule)) return Status::Ok();
-    if (!CheckNegatives(rule)) return Status::Ok();
+    const CompiledRule& r = *static_cast<const EvalCtx*>(ctx)->rule;
+    if (!CheckDiseqs(*r.rule)) return Status::Ok();
+    if (!CheckNegatives(*r.rule)) return Status::Ok();
     ++stats_.rule_firings;
-    return EmitHead(rule);
+    return EmitHead(r);
   }
 
   // Safe, stratified negation: the negated atom is ground here and its
   // relation's stratum is already complete.
   bool CheckNegatives(const Rule& rule) {
+    JoinScratch& scratch = p_.scratch;
     for (const Atom& atom : rule.negative) {
-      scratch_.tuple.clear();
+      scratch.tuple.clear();
       for (const Pattern& p : atom.args) {
-        scratch_.tuple.push_back(GroundPattern(p, scratch_.subst,
-                                               db_.ctx().arena(),
-                                               scratch_.ground_stack));
+        scratch.tuple.push_back(GroundPattern(p, scratch.subst,
+                                              db_.ctx().arena(),
+                                              scratch.ground_stack));
       }
       const Relation* rel = db_.Find(atom.rel);
-      if (rel != nullptr && rel->Contains(scratch_.tuple)) return false;
+      if (rel != nullptr && rel->Contains(scratch.tuple)) return false;
     }
     return true;
   }
 
   bool CheckDiseqs(const Rule& rule) {
+    JoinScratch& scratch = p_.scratch;
     for (const Diseq& d : rule.diseqs) {
-      TermId lhs = TryGroundPattern(d.lhs, scratch_.subst, db_.ctx().arena(),
-                                    scratch_.ground_stack);
-      TermId rhs = TryGroundPattern(d.rhs, scratch_.subst, db_.ctx().arena(),
-                                    scratch_.ground_stack);
+      TermId lhs = TryGroundPattern(d.lhs, scratch.subst, db_.ctx().arena(),
+                                    scratch.ground_stack);
+      TermId rhs = TryGroundPattern(d.rhs, scratch.subst, db_.ctx().arena(),
+                                    scratch.ground_stack);
       DQSQ_DCHECK(lhs != kNoTerm && rhs != kNoTerm);
       if (lhs == rhs) return false;
     }
     return true;
   }
 
-  Status EmitHead(const Rule& rule) {
-    scratch_.tuple.clear();
+  Status EmitHead(const CompiledRule& r) {
+    const Rule& rule = *r.rule;
+    JoinScratch& scratch = p_.scratch;
+    scratch.tuple.clear();
     for (const Pattern& p : rule.head.args) {
       // Plain head variables dominate; skip the grounding walk for them.
       TermId t = p.kind() == Pattern::Kind::kVar
-                     ? scratch_.subst[p.var()]
-                     : GroundPattern(p, scratch_.subst, db_.ctx().arena(),
-                                     scratch_.ground_stack);
+                     ? scratch.subst[p.var()]
+                     : GroundPattern(p, scratch.subst, db_.ctx().arena(),
+                                     scratch.ground_stack);
       DQSQ_DCHECK(t != kNoTerm);  // range restriction: head vars are bound
       if (options_.max_term_depth > 0 &&
           db_.ctx().arena().Depth(t) > options_.max_term_depth) {
@@ -316,13 +351,21 @@ class Evaluator : public JoinHost {
         ++stats_.depth_pruned;
         return Status::Ok();
       }
-      scratch_.tuple.push_back(t);
+      scratch.tuple.push_back(t);
     }
-    if (head_rel_ == nullptr) head_rel_ = &db_.GetOrCreate(rule.head.rel);
-    if (head_rel_->Insert(scratch_.tuple)) {
+    // The head relation is created lazily on first emission: an eager
+    // GetOrCreate would surface empty relations in Relations()/SaveState
+    // and break distributed byte stability.
+    Slot& head = p_.slots[r.head_slot];
+    if (head.relation == nullptr) {
+      head.relation = &db_.GetOrCreate(rule.head.rel);
+    }
+    if (head.relation->Insert(scratch.tuple)) {
       ++stats_.facts_derived;
-      // TotalFacts() == initial_facts_ + facts_derived: this evaluator is
-      // the only writer, and every successful insert is counted above.
+      if (!head.touched) {
+        head.touched = true;
+        p_.touched.push_back(r.head_slot);
+      }
       if (initial_facts_ + stats_.facts_derived > options_.max_facts) {
         CountMetric("datalog.eval.budget_exhausted", 1,
                     {{"budget", "facts"}});
@@ -332,24 +375,78 @@ class Evaluator : public JoinHost {
     return Status::Ok();
   }
 
-  const Program& program_;
+  Impl& p_;
   Database& db_;
   const EvalOptions& options_;
   EvalStats stats_;
-  size_t initial_facts_ = 0;       // db size when evaluation began
-  Relation* head_rel_ = nullptr;   // per-EvalRule cache (lazy)
-  size_t known_relations_ = 0;     // relation-map size at last full scan
-  size_t snap_gen_ = 1;            // bumps when new relations appear
-  size_t delta_rows_ = 0;  // rows that entered some round's delta
-  std::unordered_map<RelId, Snapshot, RelIdHash> snapshots_;
-  JoinScratch scratch_;
+  size_t initial_facts_ = 0;  // db size when evaluation began
+  size_t delta_rows_ = 0;     // rows that entered some round's delta
 };
 
 }  // namespace
 
+CompiledProgram::CompiledProgram(std::unique_ptr<Impl> impl)
+    : impl_(std::move(impl)) {}
+CompiledProgram::CompiledProgram(CompiledProgram&&) noexcept = default;
+CompiledProgram& CompiledProgram::operator=(CompiledProgram&&) noexcept =
+    default;
+CompiledProgram::~CompiledProgram() = default;
+
+size_t CompiledProgram::num_rules() const { return impl_->num_rules; }
+
+StatusOr<CompiledProgram> CompiledProgram::Compile(const Program& program,
+                                                   const DatalogContext& ctx) {
+  DQSQ_ASSIGN_OR_RETURN(std::vector<uint32_t> strata,
+                        StratifyProgram(program, ctx));
+  auto impl = std::make_unique<Impl>();
+  impl->num_rules = program.rules.size();
+  uint32_t max_stratum = 0;
+  for (uint32_t s : strata) max_stratum = std::max(max_stratum, s);
+  std::unordered_map<RelId, uint32_t, RelIdHash> slot_of;
+  for (uint32_t level = 0; level <= max_stratum; ++level) {
+    Impl::Stratum stratum;
+    slot_of.clear();
+    auto slot = [&](const RelId& rel) {
+      auto [it, inserted] = slot_of.try_emplace(
+          rel, static_cast<uint32_t>(stratum.slot_rels.size()));
+      if (inserted) {
+        stratum.slot_rels.push_back(rel);
+        stratum.readers.emplace_back();
+      }
+      return it->second;
+    };
+    for (size_t i = 0; i < program.rules.size(); ++i) {
+      if (strata[i] != level) continue;
+      const Rule& rule = program.rules[i];
+      const uint32_t index = static_cast<uint32_t>(stratum.rules.size());
+      Impl::CompiledRule& r = stratum.rules.emplace_back();
+      r.rule = &rule;
+      for (const Atom& atom : rule.body) {
+        uint32_t s = slot(atom.rel);
+        r.body_slots.push_back(s);
+        std::vector<uint32_t>& readers = stratum.readers[s];
+        if (readers.empty() || readers.back() != index) {
+          readers.push_back(index);
+        }
+      }
+      r.head_slot = slot(rule.head.rel);
+      stratum.max_atoms = std::max(stratum.max_atoms, rule.body.size());
+    }
+    if (!stratum.rules.empty()) impl->strata.push_back(std::move(stratum));
+  }
+  return CompiledProgram(std::move(impl));
+}
+
+StatusOr<EvalStats> Evaluate(CompiledProgram& program, Database& db,
+                             const EvalOptions& options) {
+  return Evaluator(*program.impl_, db, options).Run();
+}
+
 StatusOr<EvalStats> Evaluate(const Program& program, Database& db,
                              const EvalOptions& options) {
-  return Evaluator(program, db, options).Run();
+  DQSQ_ASSIGN_OR_RETURN(CompiledProgram compiled,
+                        CompiledProgram::Compile(program, db.ctx()));
+  return Evaluate(compiled, db, options);
 }
 
 std::vector<Tuple> Ask(Database& db, const Atom& query, uint32_t num_vars) {

@@ -8,6 +8,7 @@
 #define DQSQ_DATALOG_EVAL_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "common/status.h"
 #include "datalog/ast.h"
@@ -48,10 +49,48 @@ struct EvalStats {
   size_t depth_pruned = 0;   // derivations dropped by the depth cap
 };
 
+/// A program prepared for repeated evaluation: stratified once, each
+/// stratum's relations numbered with dense slot ids, and every slot mapped
+/// to the rules that read it, so semi-naive rounds run only the rules
+/// whose inputs changed. Rule plans are compiled once, on the first run
+/// that reaches their stratum. It also owns the run buffers, so a warm
+/// re-run allocates nothing.
+///
+/// Holds pointers into `program`, which must outlive it and must not be
+/// modified (a caller that adds rules compiles again). Runs only against
+/// databases of the context it was compiled for. Not thread-safe: one run
+/// at a time.
+class CompiledProgram {
+ public:
+  /// Stratifies `program`; fails if it is not stratifiable.
+  static StatusOr<CompiledProgram> Compile(const Program& program,
+                                           const DatalogContext& ctx);
+
+  CompiledProgram(CompiledProgram&&) noexcept;
+  CompiledProgram& operator=(CompiledProgram&&) noexcept;
+  ~CompiledProgram();
+
+  size_t num_rules() const;
+
+  struct Impl;  // defined in eval.cc
+
+ private:
+  friend StatusOr<EvalStats> Evaluate(CompiledProgram& program, Database& db,
+                                      const EvalOptions& options);
+  explicit CompiledProgram(std::unique_ptr<Impl> impl);
+  std::unique_ptr<Impl> impl_;
+};
+
 /// Runs `program` over `db` (which already holds the extensional facts)
 /// until fixpoint or budget exhaustion. Derived facts are inserted into
 /// `db`, keyed by their (predicate, peer) relation id — i.e. evaluation of a
-/// distributed program is evaluation of its global translation P^g.
+/// distributed program is evaluation of its global translation P^g. Each
+/// call starts from round 0 over everything `db` holds, so a program
+/// compiled once may run against a database that has grown since.
+StatusOr<EvalStats> Evaluate(CompiledProgram& program, Database& db,
+                             const EvalOptions& options);
+
+/// One-shot form: compiles `program` and runs it once.
 StatusOr<EvalStats> Evaluate(const Program& program, Database& db,
                              const EvalOptions& options);
 

@@ -214,6 +214,9 @@ Status DiagnosisService::CloseSession(const std::string& session) {
   }
   Session& s = *it->second;
   if (s.diagnoser) resident_lru_.erase(s.lru_pos);
+  // A resident session may still have an image from an earlier
+  // hibernation; either way the name must not wake into it again.
+  store_->Erase(StoreKey(s));
   sessions_.erase(it);
   static Counter& closed =
       MetricsRegistry::Global().GetCounter("diag.service.sessions_closed");

@@ -97,7 +97,8 @@ class DiagnosisService {
   /// an unregistered model, ALREADY_EXISTS for a duplicate session name.
   Status OpenSession(const std::string& session, const std::string& model);
 
-  /// Removes the session (resident or hibernated).
+  /// Removes the session (resident or hibernated) and erases its
+  /// hibernation image from the durable store.
   Status CloseSession(const std::string& session);
 
   /// Feeds the next alarm of `session`'s plant and returns the

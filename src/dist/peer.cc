@@ -57,6 +57,7 @@ std::vector<SymbolId> DatalogPeer::Siblings() const {
 }
 
 void DatalogPeer::InstallRule(const Rule& rule) {
+  compiled_.reset();
   program_.rules.push_back(rule);
   if (sharded_) {
     // Pivot redirect: point the first locally-owned body atom at its own$
@@ -371,8 +372,15 @@ Status DatalogPeer::RunFixpointAndFlush(Network& network) {
   // Sharded: an exchange can claim locally-derived rows into a local own$
   // shadow, which the pivot-redirected rules join over — iterate until the
   // exchange claims nothing new.
+  if (!compiled_) {
+    DQSQ_ASSIGN_OR_RETURN(CompiledProgram compiled,
+                          CompiledProgram::Compile(program_, *ctx_));
+    compiled_.emplace(std::move(compiled));
+  }
+  DQSQ_CHECK_EQ(compiled_->num_rules(), program_.rules.size())
+      << "stale compiled program";
   for (;;) {
-    DQSQ_RETURN_IF_ERROR(Evaluate(program_, db_, eval_options_).status());
+    DQSQ_RETURN_IF_ERROR(Evaluate(*compiled_, db_, eval_options_).status());
     if (!sharded_ || !ExchangeOwnedRows(network)) break;
   }
   // Stream owned relations to their subscribers (dnaive data flow). Each
@@ -689,7 +697,7 @@ void EncodePeerTuple(std::span<const TermId> t, SnapshotWriter& w) {
 Tuple DecodePeerTuple(SnapshotReader& r) {
   uint64_t n = r.U64();
   Tuple t;
-  t.reserve(n);
+  t.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) t.push_back(r.U32());
   return t;
 }
@@ -702,7 +710,7 @@ void EncodeAdornmentBits(const Adornment& a, SnapshotWriter& w) {
 Adornment DecodeAdornmentBits(SnapshotReader& r) {
   uint64_t n = r.U64();
   Adornment a;
-  a.reserve(n);
+  a.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) a.push_back(r.Bool());
   return a;
 }
@@ -790,10 +798,10 @@ void DatalogPeer::RestoreState(const std::string& state) {
   NodeId parent = r.U32();
   ds_.RestoreState(engaged, deficit, parent);
   uint64_t n = r.U64();
-  program_.rules.reserve(n);
+  program_.rules.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) program_.rules.push_back(DecodeRule(r));
   n = r.U64();
-  source_rules_.rules.reserve(n);
+  source_rules_.rules.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) {
     source_rules_.rules.push_back(DecodeRule(r));
   }
@@ -804,7 +812,7 @@ void DatalogPeer::RestoreState(const std::string& state) {
     // GetOrCreate materializes empty relations too — their existence (and
     // row order in non-empty ones) must survive the round trip exactly,
     // since ship watermarks index into it.
-    db_.GetOrCreate(rel).Reserve(rows);
+    db_.GetOrCreate(rel).Reserve(r.ReserveCount(rows));
     for (uint64_t row = 0; row < rows; ++row) {
       db_.Insert(rel, DecodePeerTuple(r));
     }
@@ -858,6 +866,7 @@ void DatalogPeer::RestoreState(const std::string& state) {
 
 void DatalogPeer::Crash() {
   db_.Clear();
+  compiled_.reset();
   program_.rules.clear();
   source_rules_.rules.clear();
   active_.clear();

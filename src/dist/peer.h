@@ -18,6 +18,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -198,6 +199,10 @@ class DatalogPeer : public PeerNode {
   EvalOptions eval_options_;
   Database db_;
   Program program_;         // evaluated every fixpoint
+  // program_ compiled on the first fixpoint that needs it and reused by
+  // later ones; it points into program_.rules, so every change to
+  // program_ (InstallRule, Crash and hence RestoreState) drops it.
+  std::optional<CompiledProgram> compiled_;
   Program source_rules_;    // rewriting input only (dQSQ)
 
   std::set<RelId, RelKeyLess> active_;

@@ -73,7 +73,7 @@ Pattern DecodePattern(SnapshotReader& r) {
       SymbolId fn = r.U32();
       uint64_t n = r.U64();
       std::vector<Pattern> args;
-      args.reserve(n);
+      args.reserve(r.ReserveCount(n));
       for (uint64_t i = 0; i < n; ++i) args.push_back(DecodePattern(r));
       return Pattern::App(fn, std::move(args));
     }
@@ -96,7 +96,7 @@ Atom DecodeAtom(SnapshotReader& r) {
   atom.rel.pred = r.U32();
   atom.rel.peer = r.U32();
   uint64_t n = r.U64();
-  atom.args.reserve(n);
+  atom.args.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) atom.args.push_back(DecodePattern(r));
   return atom;
 }
@@ -109,7 +109,7 @@ void EncodeTuple(const Tuple& t, SnapshotWriter& w) {
 Tuple DecodeTuple(SnapshotReader& r) {
   uint64_t n = r.U64();
   Tuple t;
-  t.reserve(n);
+  t.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) t.push_back(r.U32());
   return t;
 }
@@ -136,13 +136,13 @@ Rule DecodeRule(SnapshotReader& r) {
   Rule rule;
   rule.head = DecodeAtom(r);
   uint64_t n = r.U64();
-  rule.body.reserve(n);
+  rule.body.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) rule.body.push_back(DecodeAtom(r));
   n = r.U64();
-  rule.negative.reserve(n);
+  rule.negative.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) rule.negative.push_back(DecodeAtom(r));
   n = r.U64();
-  rule.diseqs.reserve(n);
+  rule.diseqs.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) {
     Diseq d;
     d.lhs = DecodePattern(r);
@@ -151,7 +151,7 @@ Rule DecodeRule(SnapshotReader& r) {
   }
   rule.num_vars = r.U32();
   n = r.U64();
-  rule.var_names.reserve(n);
+  rule.var_names.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) rule.var_names.push_back(r.Str());
   return rule;
 }
@@ -206,19 +206,19 @@ Message DecodeMessage(SnapshotReader& r) {
   m.rel.pred = r.U32();
   m.rel.peer = r.U32();
   uint64_t n = r.U64();
-  m.tuples.reserve(n);
+  m.tuples.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) m.tuples.push_back(DecodeTuple(r));
   m.subscriber = r.U32();
   n = r.U64();
-  m.adornment.reserve(n);
+  m.adornment.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) m.adornment.push_back(r.Bool());
   n = r.U64();
-  m.rules.reserve(n);
+  m.rules.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) m.rules.push_back(DecodeRule(r));
   m.seq = r.U64();
   m.ack = r.U64();
   n = r.U64();
-  m.sack.reserve(n);
+  m.sack.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) {
     SackBlock s;
     s.first = r.U64();
@@ -231,13 +231,13 @@ Message DecodeMessage(SnapshotReader& r) {
   m.epoch = r.U64();
   if ((flags & 4) != 0) {
     uint64_t sections = r.U64();
-    m.sections.reserve(sections);
+    m.sections.reserve(r.ReserveCount(sections));
     for (uint64_t i = 0; i < sections; ++i) {
       TupleSection s;
       s.rel.pred = r.U32();
       s.rel.peer = r.U32();
       uint64_t rows = r.U64();
-      s.tuples.reserve(rows);
+      s.tuples.reserve(r.ReserveCount(rows));
       for (uint64_t j = 0; j < rows; ++j) s.tuples.push_back(DecodeTuple(r));
       m.sections.push_back(std::move(s));
     }
@@ -275,27 +275,27 @@ PeerSnapshot DeserializePeerSnapshot(std::string_view bytes) {
   snap.peer = r.U32();
   snap.epoch = r.U64();
   uint64_t n = r.U64();
-  snap.senders.reserve(n);
+  snap.senders.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) {
     ChannelSenderState s;
     s.to = r.U32();
     s.next_seq = r.U64();
     uint64_t k = r.U64();
-    s.unacked.reserve(k);
+    s.unacked.reserve(r.ReserveCount(k));
     for (uint64_t j = 0; j < k; ++j) s.unacked.push_back(DecodeMessage(r));
     k = r.U64();
-    s.pending.reserve(k);
+    s.pending.reserve(r.ReserveCount(k));
     for (uint64_t j = 0; j < k; ++j) s.pending.push_back(DecodeMessage(r));
     snap.senders.push_back(std::move(s));
   }
   n = r.U64();
-  snap.receivers.reserve(n);
+  snap.receivers.reserve(r.ReserveCount(n));
   for (uint64_t i = 0; i < n; ++i) {
     ChannelReceiverState recv;
     recv.from = r.U32();
     recv.cum = r.U64();
     uint64_t k = r.U64();
-    recv.out_of_order.reserve(k);
+    recv.out_of_order.reserve(r.ReserveCount(k));
     for (uint64_t j = 0; j < k; ++j) recv.out_of_order.push_back(r.U64());
     snap.receivers.push_back(std::move(recv));
   }
@@ -317,6 +317,8 @@ std::optional<std::string> InMemoryDurableStore::Get(
   if (it == blobs_.end()) return std::nullopt;
   return it->second;
 }
+
+void InMemoryDurableStore::Erase(const std::string& key) { blobs_.erase(key); }
 
 void InMemoryDurableStore::Append(const std::string& key,
                                   std::string record) {

@@ -65,6 +65,13 @@ class SnapshotReader {
   bool AtEnd() const { return pos_ == in_.size(); }
   /// Bytes not yet read: bounds a decoded count before it sizes anything.
   size_t remaining() const { return in_.size() - pos_; }
+  /// Reserve size for a decoded element count `n`: capped at remaining().
+  /// Every element takes at least one byte, so a corrupt count fails as
+  /// "truncated snapshot" while its elements are read, instead of asking
+  /// reserve() for memory the input could never fill.
+  size_t ReserveCount(uint64_t n) const {
+    return n < remaining() ? static_cast<size_t>(n) : remaining();
+  }
 
  private:
   std::string_view in_;
@@ -118,6 +125,9 @@ class DurableStore {
 
   virtual void Put(const std::string& key, std::string value) = 0;
   virtual std::optional<std::string> Get(const std::string& key) const = 0;
+  /// Removes the blob under `key` (no-op when absent). Logs are separate:
+  /// see TruncateLog.
+  virtual void Erase(const std::string& key) = 0;
 
   virtual void Append(const std::string& key, std::string record) = 0;
   virtual const std::vector<std::string>& ReadLog(
@@ -134,6 +144,7 @@ class InMemoryDurableStore : public DurableStore {
  public:
   void Put(const std::string& key, std::string value) override;
   std::optional<std::string> Get(const std::string& key) const override;
+  void Erase(const std::string& key) override;
   void Append(const std::string& key, std::string record) override;
   const std::vector<std::string>& ReadLog(
       const std::string& key) const override;

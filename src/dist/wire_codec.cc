@@ -65,7 +65,7 @@ Pattern DecodeWirePattern(SnapshotReader& r, DatalogContext& ctx) {
       SymbolId fn = DecodeSymbol(r, ctx);
       uint32_t n = r.U32();
       std::vector<Pattern> args;
-      args.reserve(n);
+      args.reserve(r.ReserveCount(n));
       for (uint32_t i = 0; i < n; ++i) {
         args.push_back(DecodeWirePattern(r, ctx));
       }
@@ -87,7 +87,7 @@ Atom DecodeWireAtom(SnapshotReader& r, DatalogContext& ctx) {
   Atom atom;
   atom.rel = DecodeRel(r, ctx);
   uint32_t n = r.U32();
-  atom.args.reserve(n);
+  atom.args.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) {
     atom.args.push_back(DecodeWirePattern(r, ctx));
   }
@@ -115,15 +115,15 @@ Rule DecodeWireRule(SnapshotReader& r, DatalogContext& ctx) {
   Rule rule;
   rule.head = DecodeWireAtom(r, ctx);
   uint32_t n = r.U32();
-  rule.body.reserve(n);
+  rule.body.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) rule.body.push_back(DecodeWireAtom(r, ctx));
   n = r.U32();
-  rule.negative.reserve(n);
+  rule.negative.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) {
     rule.negative.push_back(DecodeWireAtom(r, ctx));
   }
   n = r.U32();
-  rule.diseqs.reserve(n);
+  rule.diseqs.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) {
     Diseq d;
     d.lhs = DecodeWirePattern(r, ctx);
@@ -132,7 +132,7 @@ Rule DecodeWireRule(SnapshotReader& r, DatalogContext& ctx) {
   }
   rule.num_vars = r.U32();
   n = r.U32();
-  rule.var_names.reserve(n);
+  rule.var_names.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) rule.var_names.push_back(r.Str());
   return rule;
 }
@@ -168,7 +168,7 @@ TermId DecodeWireTerm(SnapshotReader& r, DatalogContext& ctx) {
   SymbolId fn = DecodeSymbol(r, ctx);
   uint32_t n = r.U32();
   std::vector<TermId> args;
-  args.reserve(n);
+  args.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) args.push_back(DecodeWireTerm(r, ctx));
   return ctx.arena().MakeApp(fn, args);
 }
@@ -229,11 +229,11 @@ Message DecodeWireMessage(std::string_view payload, DatalogContext& ctx) {
   m.to = DecodeSymbol(r, ctx);
   if (HasRel(m.kind)) m.rel = DecodeRel(r, ctx);
   uint32_t n = r.U32();
-  m.tuples.reserve(n);
+  m.tuples.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) {
     uint32_t arity = r.U32();
     Tuple t;
-    t.reserve(arity);
+    t.reserve(r.ReserveCount(arity));
     for (uint32_t j = 0; j < arity; ++j) {
       t.push_back(DecodeWireTerm(r, ctx));
     }
@@ -241,15 +241,15 @@ Message DecodeWireMessage(std::string_view payload, DatalogContext& ctx) {
   }
   if (m.kind == MessageKind::kActivate) m.subscriber = DecodeSymbol(r, ctx);
   n = r.U32();
-  m.adornment.reserve(n);
+  m.adornment.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) m.adornment.push_back(r.Bool());
   n = r.U32();
-  m.rules.reserve(n);
+  m.rules.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) m.rules.push_back(DecodeWireRule(r, ctx));
   m.seq = r.U64();
   m.ack = r.U64();
   n = r.U32();
-  m.sack.reserve(n);
+  m.sack.reserve(r.ReserveCount(n));
   for (uint32_t i = 0; i < n; ++i) {
     SackBlock s;
     s.first = r.U64();
@@ -262,16 +262,16 @@ Message DecodeWireMessage(std::string_view payload, DatalogContext& ctx) {
   m.epoch = r.U64();
   if ((flags & 4) != 0) {
     uint32_t sections = r.U32();
-    m.sections.reserve(sections);
+    m.sections.reserve(r.ReserveCount(sections));
     for (uint32_t i = 0; i < sections; ++i) {
       TupleSection s;
       s.rel = DecodeRel(r, ctx);
       uint32_t rows = r.U32();
-      s.tuples.reserve(rows);
+      s.tuples.reserve(r.ReserveCount(rows));
       for (uint32_t j = 0; j < rows; ++j) {
         uint32_t arity = r.U32();
         Tuple t;
-        t.reserve(arity);
+        t.reserve(r.ReserveCount(arity));
         for (uint32_t k = 0; k < arity; ++k) {
           t.push_back(DecodeWireTerm(r, ctx));
         }

@@ -88,6 +88,42 @@ TEST(EvalAllocTest, FinalFixpointRoundAllocatesNothing) {
       << "steady-state evaluation round allocated";
 }
 
+TEST(EvalAllocTest, WarmCompiledProgramReRunAllocatesNothing) {
+  // A peer re-runs its compiled program on every delivery. Once the run
+  // buffers, join scratch, relation indices and metric handles are warm,
+  // a whole re-run that derives nothing — compile skipped, every stratum
+  // re-snapshotted, round 0 re-joined, metrics flushed — allocates
+  // nothing at all.
+  DatalogContext ctx;
+  std::string program_text;
+  constexpr int kNodes = 12;
+  for (int i = 0; i < kNodes; ++i) {
+    program_text += "edge(v" + std::to_string(i) + ", v" +
+                    std::to_string((i + 1) % kNodes) + ").\n";
+  }
+  program_text += "path(X, Y) :- edge(X, Y).\n";
+  program_text += "path(X, Y) :- path(X, Z), edge(Z, Y).\n";
+  program_text += "loop(X) :- path(X, X), not edge(X, X).\n";
+  auto program = ParseProgram(program_text, ctx);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto compiled = CompiledProgram::Compile(*program, ctx);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+
+  Database db(&ctx);
+  EvalOptions options;
+  auto first = Evaluate(*compiled, db, options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GT(first->facts_derived, 0u);
+
+  uint64_t before = g_allocations;
+  auto again = Evaluate(*compiled, db, options);
+  uint64_t during = g_allocations - before;
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->facts_derived, 0u);
+  EXPECT_GT(again->join_probes, 0u);  // round 0 really re-joined
+  EXPECT_EQ(during, 0u) << "warm compiled re-run allocated";
+}
+
 TEST(EvalAllocTest, LateDerivationRoundsAllocateOnlyForGrowth) {
   // Soft companion bound: across the whole run, allocation count stays
   // far below the number of facts derived — per-tuple allocation (the

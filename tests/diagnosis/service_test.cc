@@ -145,6 +145,41 @@ TEST(DiagnosisServiceTest, HibernateRestoreRoundTripsByteIdentically) {
                                   {{"b", "p1"}, {"a", "p2"}, {"c", "p1"}})));
 }
 
+TEST(DiagnosisServiceTest, CloseErasesTheHibernationImage) {
+  dist::InMemoryDurableStore store;
+  ServiceOptions opts;
+  opts.store = &store;
+  DiagnosisService service(opts);
+  petri::PetriNet net = petri::MakePaperNet();
+  ASSERT_TRUE(service.RegisterModel("paper", net).ok());
+  ASSERT_TRUE(service.OpenSession("plant", "paper").ok());
+  ASSERT_TRUE(service.Observe("plant", {"b", "p1"}).ok());
+  ASSERT_TRUE(service.Observe("plant", {"a", "p2"}).ok());
+  ASSERT_TRUE(service.Hibernate("plant").ok());
+  ASSERT_TRUE(store.Get("diag.session/plant").has_value());
+
+  ASSERT_TRUE(service.CloseSession("plant").ok());
+  EXPECT_FALSE(store.Get("diag.session/plant").has_value());
+
+  // The name reopens as a fresh session, with no history of its own.
+  ASSERT_TRUE(service.OpenSession("plant", "paper").ok());
+  auto observed = service.NumObserved("plant");
+  ASSERT_TRUE(observed.ok());
+  EXPECT_EQ(*observed, 0u);
+  auto result = service.Observe("plant", {"c", "p1"});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, Batch(net, petri::MakeAlarms({{"c", "p1"}})));
+
+  // A resident session that was hibernated once and woke again still has
+  // its old image at the store; closing erases that one too.
+  ASSERT_TRUE(service.Hibernate("plant").ok());
+  ASSERT_TRUE(service.Current("plant").ok());
+  ASSERT_TRUE(service.is_resident("plant"));
+  ASSERT_TRUE(store.Get("diag.session/plant").has_value());
+  ASSERT_TRUE(service.CloseSession("plant").ok());
+  EXPECT_FALSE(store.Get("diag.session/plant").has_value());
+}
+
 TEST(DiagnosisServiceTest, ColdSessionsEvictUnderResidencyCap) {
   ServiceOptions opts;
   opts.max_resident_sessions = 1;

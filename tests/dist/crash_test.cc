@@ -140,6 +140,20 @@ TEST(CrashRestartDeathTest, RestartingIntoAPastEpochDies) {
                "epoch regressed");
 }
 
+TEST(CrashRestartDeathTest, HugeRuleCountInPeerStateAbortsAsTruncated) {
+  DatalogContext ctx;
+  SymbolId id = ctx.InternPeer("p");
+  DatalogPeer peer(id, &ctx, EvalOptions{});
+  SnapshotWriter w;
+  w.Bool(false);              // DS engaged
+  w.U64(0);                   // deficit
+  w.U32(0);                   // parent
+  w.U64(uint64_t{1} << 40);   // installed rules: far more than the bytes
+  w.U32(1);
+  const std::string state = w.bytes();
+  EXPECT_DEATH(peer.RestoreState(state), "truncated snapshot");
+}
+
 TEST(CrashRestartDeathTest, DeliveringToACrashedPeerDies) {
   DatalogContext ctx;
   SymbolId id = ctx.InternPeer("p");

@@ -6,6 +6,8 @@
 #include "dist/dnaive.h"
 #include "dist/dqsq.h"
 #include "dist/global.h"
+#include "dist/network.h"
+#include "dist/peer.h"
 #include "tests/test_util.h"
 
 namespace dqsq::dist {
@@ -304,6 +306,84 @@ TEST(DistTest, DijkstraScholtenDrivesTermination) {
   size_t basic = dist->net_stats.messages_delivered / 2;
   EXPECT_GE(dist->net_stats.messages_delivered, 2 * basic);
   EXPECT_GT(basic, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// A DatalogPeer compiles its program once and reuses it across fixpoints.
+// The compiled program points into the peer's rules, so every change to
+// them must drop it: each test below fails if InstallRule, or RestoreState
+// (through Crash), kept a stale one.
+// ---------------------------------------------------------------------------
+
+const char* kPeerFacts = R"(
+  e@p("1", "2").
+  e@p("2", "3").
+  e@p("3", "4").
+)";
+const char* kPeerBaseRule = "path@p(X, Y) :- e@p(X, Y).";
+const char* kPeerStepRule = "path@p(X, Z) :- path@p(X, Y), e@p(Y, Z).";
+
+void InstallText(DatalogPeer& peer, DatalogContext& ctx,
+                 const std::string& text) {
+  auto program = ParseProgram(text, ctx);
+  DQSQ_CHECK_OK(program.status());
+  for (const Rule& rule : program->rules) peer.InstallRule(rule);
+}
+
+// `rules` installed at once, then one fixpoint: the reference state.
+std::string FreshPeerDump(const std::string& rules) {
+  DatalogContext ctx;
+  SymbolId p = ctx.InternPeer("p");
+  DatalogPeer peer(p, &ctx, EvalOptions{});
+  SimNetwork network(/*seed=*/1);
+  network.Register(p, &peer);
+  InstallText(peer, ctx, rules);
+  DQSQ_CHECK_OK(peer.RunFixpointAndFlush(network));
+  return peer.db().Dump();
+}
+
+TEST(DistPeerCompiledProgramTest, RuleInstalledAfterAFixpointTakesPart) {
+  DatalogContext ctx;
+  SymbolId p = ctx.InternPeer("p");
+  DatalogPeer peer(p, &ctx, EvalOptions{});
+  SimNetwork network(/*seed=*/1);
+  network.Register(p, &peer);
+  InstallText(peer, ctx, std::string(kPeerFacts) + kPeerBaseRule);
+  ASSERT_TRUE(peer.RunFixpointAndFlush(network).ok());
+  EXPECT_EQ(peer.db().Dump(),
+            FreshPeerDump(std::string(kPeerFacts) + kPeerBaseRule));
+
+  // The recursive rule arrives later (as a dQSQ kInstall does): the next
+  // fixpoint must evaluate it.
+  InstallText(peer, ctx, kPeerStepRule);
+  ASSERT_TRUE(peer.RunFixpointAndFlush(network).ok());
+  EXPECT_EQ(peer.db().Dump(), FreshPeerDump(std::string(kPeerFacts) +
+                                            kPeerBaseRule + kPeerStepRule));
+  EXPECT_NE(peer.db().Dump().find("path@p(1,4)"), std::string::npos);
+}
+
+TEST(DistPeerCompiledProgramTest, RestoreIntoAWarmPeerEvaluatesTheRestoredRules) {
+  DatalogContext ctx;
+  SymbolId p = ctx.InternPeer("p");
+  // The image: a peer with the full recursive program, before its first
+  // fixpoint.
+  DatalogPeer source(p, &ctx, EvalOptions{});
+  InstallText(source, ctx,
+              std::string(kPeerFacts) + kPeerBaseRule + kPeerStepRule);
+  const std::string image = source.SaveState();
+
+  // A peer that already ran a different (shorter) program to fixpoint,
+  // so its compiled program is warm, restores the image and re-runs.
+  DatalogPeer peer(p, &ctx, EvalOptions{});
+  SimNetwork network(/*seed=*/1);
+  network.Register(p, &peer);
+  InstallText(peer, ctx, "q@p(\"9\").\n");
+  ASSERT_TRUE(peer.RunFixpointAndFlush(network).ok());
+  peer.RestoreState(image);
+  EXPECT_EQ(peer.num_installed_rules(), 5u);
+  ASSERT_TRUE(peer.RunFixpointAndFlush(network).ok());
+  EXPECT_EQ(peer.db().Dump(), FreshPeerDump(std::string(kPeerFacts) +
+                                            kPeerBaseRule + kPeerStepRule));
 }
 
 }  // namespace

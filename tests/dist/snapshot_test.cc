@@ -58,6 +58,20 @@ TEST(SnapshotCodecDeathTest, WrappingStringLengthAborts) {
   EXPECT_DEATH((void)r.Str(), "truncated snapshot");
 }
 
+TEST(SnapshotCodecDeathTest, HugePatternArityAbortsAsTruncated) {
+  // An application claiming 2^40 arguments over a few bytes: the decoder
+  // must fail on the missing arguments, not throw from reserve().
+  SnapshotWriter w;
+  w.U8(static_cast<uint8_t>(Pattern::Kind::kApp));
+  w.U32(7);
+  w.U64(uint64_t{1} << 40);
+  w.U8(static_cast<uint8_t>(Pattern::Kind::kVar));
+  w.U32(0);
+  const std::string bytes = w.bytes();
+  SnapshotReader r(bytes);
+  EXPECT_DEATH((void)DecodePattern(r), "truncated snapshot");
+}
+
 TEST(SnapshotCodecTest, PatternRoundTripsNestedApplications) {
   const Pattern p = Pattern::App(
       7, {Pattern::Var(0), Pattern::Const(3),
@@ -198,6 +212,16 @@ TEST(PeerSnapshotDeathTest, TrailingBytesAbort) {
   std::string bytes = SerializePeerSnapshot(MakeSnapshot());
   bytes.push_back('\0');
   EXPECT_DEATH((void)DeserializePeerSnapshot(bytes), "trailing");
+}
+
+TEST(PeerSnapshotDeathTest, HugeSenderCountAbortsAsTruncated) {
+  SnapshotWriter w;
+  w.U32(1);                    // peer
+  w.U64(2);                    // epoch
+  w.U64(uint64_t{1} << 40);   // sender channels: far more than the bytes
+  w.U32(3);
+  const std::string bytes = w.bytes();
+  EXPECT_DEATH((void)DeserializePeerSnapshot(bytes), "truncated snapshot");
 }
 
 // ---------------------------------------------------------------------------
@@ -404,6 +428,19 @@ TEST(InMemoryDurableStoreTest, BlobsAndLogsAreIndependentNamespaces) {
 
   // Write volume counts every byte handed to Put/Append (4+2+2+2+1).
   EXPECT_EQ(store.bytes_written(), 11u);
+}
+
+TEST(InMemoryDurableStoreTest, EraseRemovesOnlyTheBlob) {
+  InMemoryDurableStore store;
+  store.Put("k", "blob");
+  store.Put("other", "x");
+  store.Append("k", "record");
+  store.Erase("k");
+  EXPECT_FALSE(store.Get("k").has_value());
+  EXPECT_EQ(*store.Get("other"), "x");
+  EXPECT_EQ(store.ReadLog("k").size(), 1u);  // logs are not blobs
+  store.Erase("absent");                     // no-op
+  EXPECT_EQ(store.bytes_written(), 11u);     // erasing writes nothing
 }
 
 }  // namespace

@@ -187,6 +187,36 @@ TEST(WireCodecTest, TermRoundTripPreservesRendering) {
   }
 }
 
+// A count of 2^31 over a short payload must fail as truncated input, not
+// throw from reserve() (TCP frames come from outside the process).
+TEST(WireCodecDeathTest, HugeTermArityAbortsAsTruncated) {
+  SnapshotWriter w;
+  w.U8(1);  // application
+  w.Str("f");
+  w.U32(uint32_t{1} << 31);
+  w.U8(0);  // one constant argument, then the input ends
+  w.Str("a");
+  const std::string bytes = w.bytes();
+  DatalogContext ctx;
+  SnapshotReader r(bytes);
+  EXPECT_DEATH((void)DecodeWireTerm(r, ctx), "truncated snapshot");
+}
+
+TEST(WireCodecDeathTest, HugeTupleCountAbortsAsTruncated) {
+  SnapshotWriter w;
+  w.U8(static_cast<uint8_t>(MessageKind::kTuples));
+  w.Str("p1");  // from
+  w.Str("p2");  // to
+  w.Str("r");   // relation: name, arity, peer
+  w.U32(1);
+  w.Str("p2");
+  w.U32(uint32_t{1} << 31);  // tuples
+  w.U32(1);                  // first tuple's arity, then the input ends
+  const std::string bytes = w.bytes();
+  DatalogContext ctx;
+  EXPECT_DEATH((void)DecodeWireMessage(bytes, ctx), "truncated snapshot");
+}
+
 // ---- Framing -------------------------------------------------------------
 
 TEST(FrameDecoderTest, ReassemblesArbitraryChunking20Seeds) {

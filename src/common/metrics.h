@@ -17,7 +17,8 @@
 //    keep the later value), which is how per-run numbers are extracted
 //    from the process-wide totals.
 //  * ToJson() emits the stable schema consumed by bench/bench_report.h;
-//    FromJson() parses it back (the round-trip is unit-tested).
+//    AppendJsonString() is the one JSON string escaper every report
+//    writer shares.
 #ifndef DQSQ_COMMON_METRICS_H_
 #define DQSQ_COMMON_METRICS_H_
 
@@ -33,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 
 namespace dqsq {
 
@@ -200,10 +200,11 @@ struct MetricsSnapshot {
   ///   {"schema_version":1,"metrics":[{"name":...,"type":...,"unit":...,
   ///    "labels":{...},...value fields...}]}
   std::string ToJson() const;
-
-  /// Parses ToJson() output (labels/keys in any order).
-  static StatusOr<MetricsSnapshot> FromJson(const std::string& json);
 };
+
+/// Appends `s` to `*out` as a quoted JSON string: `"`, `\` and every
+/// control character are escaped, other bytes pass through unchanged.
+void AppendJsonString(const std::string& s, std::string* out);
 
 /// The process-wide registry. Get*() registers on first use and returns a
 /// reference that stays valid for the process lifetime; a (name, labels)

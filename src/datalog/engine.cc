@@ -6,7 +6,6 @@
 #include "common/metrics.h"
 #include "datalog/adornment.h"
 #include "datalog/magic_rewrite.h"
-#include "datalog/qsqr.h"
 
 namespace dqsq {
 
@@ -22,8 +21,6 @@ std::string StrategyName(Strategy strategy) {
       return "qsq";
     case Strategy::kQsqAllVars:
       return "qsq_allvars";
-    case Strategy::kQsqIterative:
-      return "qsqr";
   }
   return "unknown";
 }
@@ -104,16 +101,6 @@ StatusOr<QueryResult> SolveQuery(const Program& program, Database& db,
   }
 
   switch (strategy) {
-    case Strategy::kQsqIterative: {
-      DQSQ_ASSIGN_OR_RETURN(QsqrResult qsqr,
-                            QsqrSolve(program, db, query, options));
-      result.answers = std::move(qsqr.answers);
-      result.derived_facts = db.TotalFacts() - facts_before;
-      result.answer_facts = qsqr.answer_facts;
-      result.aux_facts = qsqr.input_facts;
-      RecordQueryMetrics(strategy, result);
-      return result;
-    }
     case Strategy::kNaive:
     case Strategy::kSemiNaive: {
       EvalOptions opts = options;

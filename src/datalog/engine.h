@@ -19,12 +19,11 @@
 namespace dqsq {
 
 enum class Strategy {
-  kNaive,         // bottom-up, full re-join every round
-  kSemiNaive,     // bottom-up, delta-driven
-  kMagic,         // magic-sets rewriting + semi-naive
-  kQsq,           // QSQ rewriting + semi-naive (the paper's §3.1)
-  kQsqAllVars,    // QSQ without relevant-variable projection (E7 ablation)
-  kQsqIterative,  // top-down recursive QSQR (Vieille's original form)
+  kNaive,       // bottom-up, full re-join every round
+  kSemiNaive,   // bottom-up, delta-driven
+  kMagic,       // magic-sets rewriting + semi-naive
+  kQsq,         // QSQ rewriting + semi-naive (the paper's §3.1)
+  kQsqAllVars,  // QSQ without relevant-variable projection (E7 ablation)
 };
 
 std::string StrategyName(Strategy strategy);

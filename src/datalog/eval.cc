@@ -44,6 +44,7 @@ struct CompiledProgram::Impl {
   std::vector<uint32_t> delta;      // slots with a non-empty delta
   std::vector<uint32_t> scheduled;  // rule indices to run this round
   std::vector<uint8_t> is_scheduled;
+  std::vector<JoinSource> sources;  // per body atom of the running rule
   JoinScratch scratch;
 };
 
@@ -93,7 +94,7 @@ const EvalMetrics& MetricsFor(bool seminaive) {
 // the delta consumed in round r+1. Rule bodies run through the batched
 // join kernel (join_kernel.h); this class supplies the snapshot row ranges
 // and the head emission.
-class Evaluator : public JoinHost {
+class Evaluator {
  public:
   Evaluator(Impl& program, Database& db, const EvalOptions& options)
       : p_(program), db_(db), options_(options) {}
@@ -109,13 +110,6 @@ class Evaluator : public JoinHost {
  private:
   using Slot = Impl::Slot;
   using CompiledRule = Impl::CompiledRule;
-
-  // Per-execution kernel context: where the delta is placed in the body
-  // (body.size() = full snapshot scan, used by naive mode and round 0).
-  struct EvalCtx {
-    size_t delta_pos;
-    const CompiledRule* rule;
-  };
 
   Status RunImpl() {
     // Stratified evaluation: each stratum to its own fixpoint in order, so
@@ -151,12 +145,15 @@ class Evaluator : public JoinHost {
       // runs, not in Compile: interning a later stratum's constants before
       // the earlier strata derive their terms would renumber terms.
       for (CompiledRule& r : stratum.rules) {
-        r.plan = CompileRulePlan(*r.rule, {}, db_.ctx().arena());
+        r.plan = CompileRulePlan(*r.rule, db_.ctx().arena());
       }
       stratum.planned = true;
     }
     if (p_.scratch.levels.size() < stratum.max_atoms) {
       p_.scratch.levels.resize(stratum.max_atoms);
+    }
+    if (p_.sources.size() < stratum.max_atoms) {
+      p_.sources.resize(stratum.max_atoms);
     }
     // Round-0 snapshot: every slot's extent as the stratum starts.
     p_.slots.resize(stratum.slot_rels.size());
@@ -245,59 +242,50 @@ class Evaluator : public JoinHost {
     }
     if (!options_.seminaive || round == 0) {
       // Full join over the snapshot extents (round 0 seeds the deltas).
-      scratch.Prepare(rule.num_vars, rule.body.size());
-      EvalCtx ctx{rule.body.size(), &r};
-      return ExecuteRulePlan(r.plan, db_.ctx().arena(), *this, &ctx, scratch,
-                             &stats_.join_probes);
+      return Execute(r, rule.body.size());
     }
     // Semi-naive: one pass per body position that has a non-empty delta.
     for (size_t d = 0; d < rule.body.size(); ++d) {
       const Slot& slot = p_.slots[r.body_slots[d]];
       if (slot.cur == slot.base) continue;
-      scratch.Prepare(rule.num_vars, rule.body.size());
-      EvalCtx ctx{d, &r};
-      DQSQ_RETURN_IF_ERROR(ExecuteRulePlan(r.plan, db_.ctx().arena(), *this,
-                                           &ctx, scratch,
-                                           &stats_.join_probes));
+      DQSQ_RETURN_IF_ERROR(Execute(r, d));
     }
     return Status::Ok();
   }
 
-  // Snapshot ranges depend only on (plan, pos, delta_pos), all fixed for
-  // one kernel execution: let the kernel resolve each atom once and cache.
-  bool SourcesAreStatic() const override { return true; }
-
-  // Row range an atom at position `pos` may scan when the delta is placed
-  // at `delta_pos`: positions before the delta see only old rows, the
-  // delta position sees exactly the delta, later positions see everything
-  // up to the round snapshot. delta_pos == body.size() = full snapshot.
-  Status ResolveSource(const RulePlan& plan, size_t pos, const void* ctx,
-                       std::span<const TermId> /*key*/,
-                       Source* out) override {
-    const EvalCtx& ec = *static_cast<const EvalCtx*>(ctx);
-    const Slot& slot = p_.slots[ec.rule->body_slots[pos]];
-    uint32_t lo = 0;
-    uint32_t hi = slot.cur;
-    if (ec.delta_pos < plan.rule->body.size()) {
-      if (pos < ec.delta_pos) {
-        hi = slot.base;  // old rows only
-      } else if (pos == ec.delta_pos) {
-        lo = slot.base;
+  // Joins `r`'s body with the delta placed at `delta_pos`: positions
+  // before it see only old rows, the delta position sees exactly the
+  // delta, later positions see everything up to the round snapshot.
+  // delta_pos == body.size() = full snapshot (naive mode and round 0).
+  Status Execute(const CompiledRule& r, size_t delta_pos) {
+    const size_t num_atoms = r.rule->body.size();
+    for (size_t pos = 0; pos < num_atoms; ++pos) {
+      const Slot& slot = p_.slots[r.body_slots[pos]];
+      uint32_t lo = 0;
+      uint32_t hi = slot.cur;
+      if (delta_pos < num_atoms) {
+        if (pos < delta_pos) {
+          hi = slot.base;  // old rows only
+        } else if (pos == delta_pos) {
+          lo = slot.base;
+        }
       }
+      p_.sources[pos] = JoinSource{lo < hi ? slot.relation : nullptr, lo, hi};
     }
-    out->rel = lo < hi ? slot.relation : nullptr;
-    out->lo = lo;
-    out->hi = hi;
-    return Status::Ok();
+    p_.scratch.Prepare(r.rule->num_vars, num_atoms);
+    matched_rule_ = &r;
+    return ExecuteRulePlan(
+        r.plan, std::span<const JoinSource>(p_.sources.data(), num_atoms),
+        db_.ctx().arena(), p_.scratch, &stats_.join_probes, &OnMatch, this);
   }
 
-  Status OnMatch(const RulePlan& /*plan*/, const void* ctx,
-                 JoinScratch& /*scratch*/) override {
-    const CompiledRule& r = *static_cast<const EvalCtx*>(ctx)->rule;
-    if (!CheckDiseqs(*r.rule)) return Status::Ok();
-    if (!CheckNegatives(*r.rule)) return Status::Ok();
-    ++stats_.rule_firings;
-    return EmitHead(r);
+  static Status OnMatch(void* self) {
+    Evaluator& e = *static_cast<Evaluator*>(self);
+    const CompiledRule& r = *e.matched_rule_;
+    if (!e.CheckDiseqs(*r.rule)) return Status::Ok();
+    if (!e.CheckNegatives(*r.rule)) return Status::Ok();
+    ++e.stats_.rule_firings;
+    return e.EmitHead(r);
   }
 
   // Safe, stratified negation: the negated atom is ground here and its
@@ -379,6 +367,7 @@ class Evaluator : public JoinHost {
   Database& db_;
   const EvalOptions& options_;
   EvalStats stats_;
+  const CompiledRule* matched_rule_ = nullptr;  // rule being executed
   size_t initial_facts_ = 0;  // db size when evaluation began
   size_t delta_rows_ = 0;     // rows that entered some round's delta
 };

@@ -9,7 +9,7 @@
 //    program text plus the address book in a kStart frame, seeds the
 //    demand as the Dijkstra-Scholten root, pumps until the root detects
 //    termination, gathers kReportReply frames (answers, fact counts,
-//    socket stats, metrics) and prints a JSON report. With
+//    socket send stats) and prints a JSON report. With
 //    --check-against-sim the same seeded workload is also solved on the
 //    in-process SimNetwork and the sorted rendered answers are compared
 //    byte for byte.
@@ -190,19 +190,6 @@ std::vector<std::string> RenderAnswers(const std::vector<Tuple>& answers,
   return out;
 }
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 // ---- Control-plane payloads ----------------------------------------------
 // SnapshotWriter/Reader little-endian codecs; one struct per FrameType.
 
@@ -298,14 +285,9 @@ struct ReportPayload {
                                      // process hosts the query-owner peer
   uint64_t total_facts = 0;
   std::vector<std::pair<std::string, uint64_t>> relation_counts;
-  uint64_t messages_delivered = 0;
-  uint64_t tuples_shipped = 0;
   uint64_t frames_sent = 0;
-  uint64_t frames_received = 0;
   uint64_t bytes_sent = 0;
-  uint64_t bytes_received = 0;
   uint64_t framing_errors = 0;
-  std::string metrics_json;
 };
 
 std::string EncodeReport(const ReportPayload& p) {
@@ -319,14 +301,9 @@ std::string EncodeReport(const ReportPayload& p) {
     w.Str(name);
     w.U64(count);
   }
-  w.U64(p.messages_delivered);
-  w.U64(p.tuples_shipped);
   w.U64(p.frames_sent);
-  w.U64(p.frames_received);
   w.U64(p.bytes_sent);
-  w.U64(p.bytes_received);
   w.U64(p.framing_errors);
-  w.Str(p.metrics_json);
   return w.Take();
 }
 
@@ -343,14 +320,9 @@ ReportPayload DecodeReport(std::string_view payload) {
     uint64_t count = r.U64();
     p.relation_counts.emplace_back(std::move(name), count);
   }
-  p.messages_delivered = r.U64();
-  p.tuples_shipped = r.U64();
   p.frames_sent = r.U64();
-  p.frames_received = r.U64();
   p.bytes_sent = r.U64();
-  p.bytes_received = r.U64();
   p.framing_errors = r.U64();
-  p.metrics_json = r.Str();
   DQSQ_CHECK(r.AtEnd());
   return p;
 }
@@ -448,14 +420,9 @@ int RunPeer(const Args& args) {
           }
         }
         const SocketStats& stats = net.stats();
-        report.messages_delivered = stats.messages_delivered;
-        report.tuples_shipped = stats.tuples_shipped;
         report.frames_sent = stats.frames_sent;
-        report.frames_received = stats.frames_received;
         report.bytes_sent = stats.bytes_sent;
-        report.bytes_received = stats.bytes_received;
         report.framing_errors = stats.framing_errors;
-        report.metrics_json = MetricsRegistry::Global().Snapshot().ToJson();
         return net.SendControlOn(conn_id, FrameType::kReportReply,
                                  EncodeReport(report));
       }
@@ -818,10 +785,14 @@ int RunSupervisor(const Args& args_in) {
   // JSON report on stdout: the cluster launcher and the CI smoke job
   // parse this.
   std::string json = "{\n";
-  json += "  \"engine\": \"" + EscapeJson(args.engine) + "\",\n";
+  json += "  \"engine\": ";
+  AppendJsonString(args.engine, &json);
+  json += ",\n";
   json += "  \"procs\": " + std::to_string(args.procs) + ",\n";
   json += "  \"shards\": " + std::to_string(args.shards) + ",\n";
-  json += "  \"query\": \"" + EscapeJson(args.query) + "\",\n";
+  json += "  \"query\": ";
+  AppendJsonString(args.query, &json);
+  json += ",\n";
   json += "  \"answers\": " + std::to_string(real->answers.size()) + ",\n";
   json += "  \"total_facts\": " + std::to_string(real->total_facts) + ",\n";
   uint64_t bytes_sent = real->supervisor_stats.bytes_sent;
@@ -913,7 +884,9 @@ int RunBench(const Args& args_in) {
   json += "  \"experiment\": \"E3_realwire\",\n";
   json += "  \"params\": {";
   json += "\"workload\": \"distributed_chain\", ";
-  json += "\"query\": \"" + EscapeJson(args.query) + "\", ";
+  json += "\"query\": ";
+  AppendJsonString(args.query, &json);
+  json += ", ";
   json += "\"procs\": " + std::to_string(args.procs) + ", ";
   json += "\"chain_peers\": " + std::to_string(args.chain_peers) + ", ";
   json += "\"chain_edges\": " + std::to_string(args.chain_edges) + ", ";

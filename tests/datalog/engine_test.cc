@@ -53,7 +53,7 @@ TEST(EngineTest, StrategyNamesAreDistinct) {
   std::set<std::string> names;
   for (Strategy s :
        {Strategy::kNaive, Strategy::kSemiNaive, Strategy::kMagic,
-        Strategy::kQsq, Strategy::kQsqAllVars, Strategy::kQsqIterative}) {
+        Strategy::kQsq, Strategy::kQsqAllVars}) {
     EXPECT_TRUE(names.insert(StrategyName(s)).second);
   }
 }

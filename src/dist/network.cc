@@ -553,6 +553,7 @@ void SimNetwork::RecoverPeer(SymbolId peer, const std::string& frozen_image) {
   for (const std::string& record : store_.ReadLog(WalKey(peer))) {
     SnapshotReader r(record);
     Message m = DecodeMessage(r);
+    DQSQ_CHECK(r.AtEnd()) << "trailing bytes after WAL record";
     ReliableTransport::Disposition disposition =
         transport_->OnWireDelivery(m, clock_.now());
     if (disposition == ReliableTransport::Disposition::kDeliverFirst) {

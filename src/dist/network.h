@@ -224,6 +224,7 @@ class SimNetwork : public Network {
 
   /// The store checkpoints and write-ahead logs are persisted to.
   const DurableStore& durable_store() const { return store_; }
+  DurableStore& durable_store() { return store_; }
 
   /// Names peers in metric labels (dist.net.channel_messages{from=,to=}).
   /// Defaults to "peer<id>". Set before the first Send/Step: channel

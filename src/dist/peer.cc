@@ -675,48 +675,6 @@ void DatalogPeer::MaybeDisengage(Network& network) {
   }
 }
 
-namespace {
-
-void EncodeRelId(const RelId& rel, SnapshotWriter& w) {
-  w.U32(rel.pred);
-  w.U32(rel.peer);
-}
-
-RelId DecodeRelId(SnapshotReader& r) {
-  RelId rel;
-  rel.pred = r.U32();
-  rel.peer = r.U32();
-  return rel;
-}
-
-void EncodePeerTuple(std::span<const TermId> t, SnapshotWriter& w) {
-  w.U64(t.size());
-  for (TermId id : t) w.U32(id);
-}
-
-Tuple DecodePeerTuple(SnapshotReader& r) {
-  uint64_t n = r.U64();
-  Tuple t;
-  t.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) t.push_back(r.U32());
-  return t;
-}
-
-void EncodeAdornmentBits(const Adornment& a, SnapshotWriter& w) {
-  w.U64(a.size());
-  for (bool b : a) w.Bool(b);
-}
-
-Adornment DecodeAdornmentBits(SnapshotReader& r) {
-  uint64_t n = r.U64();
-  Adornment a;
-  a.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) a.push_back(r.Bool());
-  return a;
-}
-
-}  // namespace
-
 std::string DatalogPeer::SaveState() const {
   SnapshotWriter w;
   // Dijkstra–Scholten engagement: a restarted peer resumes exactly the
@@ -737,50 +695,50 @@ std::string DatalogPeer::SaveState() const {
   });
   w.U64(rels.size());
   for (const RelId& rel : rels) {
-    EncodeRelId(rel, w);
+    EncodeRel(rel, w);
     const Relation* relation = db_.Find(rel);
     w.U64(relation->size());
     for (size_t row = 0; row < relation->size(); ++row) {
-      EncodePeerTuple(relation->Row(row), w);
+      EncodeRow(relation->Row(row), w);
     }
   }
   w.U64(active_.size());
-  for (const RelId& rel : active_) EncodeRelId(rel, w);
+  for (const RelId& rel : active_) EncodeRel(rel, w);
   w.U64(subscribers_.size());
   for (const auto& [rel, subs] : subscribers_) {
-    EncodeRelId(rel, w);
+    EncodeRel(rel, w);
     w.U64(subs.size());
     for (SymbolId sub : subs) w.U32(sub);
   }
   w.U64(shipped_.size());
   for (const auto& [key, watermark] : shipped_) {
-    EncodeRelId(key.first, w);
+    EncodeRel(key.first, w);
     w.U32(key.second);
     w.U64(watermark);
   }
   w.U64(received_.size());
   for (const auto& [rel, tuples] : received_) {
-    EncodeRelId(rel, w);
+    EncodeRel(rel, w);
     w.U64(tuples.size());
-    for (const Tuple& t : tuples) EncodePeerTuple(t, w);
+    for (const Tuple& t : tuples) EncodeRow(t, w);
   }
   w.U64(rewritten_.size());
   for (const auto& [pred, adornment] : rewritten_) {
     w.U32(pred);
-    EncodeAdornmentBits(adornment, w);
+    EncodeAdornment(adornment, w);
   }
   // Sharded-only section: absent at K=1 so unsharded snapshots stay
   // byte-identical to the pre-sharding format.
   if (sharded_) {
     w.U64(received_replica_.size());
     for (const auto& [rel, tuples] : received_replica_) {
-      EncodeRelId(rel, w);
+      EncodeRel(rel, w);
       w.U64(tuples.size());
-      for (const Tuple& t : tuples) EncodePeerTuple(t, w);
+      for (const Tuple& t : tuples) EncodeRow(t, w);
     }
     w.U64(exchanged_.size());
     for (const auto& [rel, watermark] : exchanged_) {
-      EncodeRelId(rel, w);
+      EncodeRel(rel, w);
       w.U64(watermark);
     }
     w.U64(installed_keys_.size());
@@ -807,54 +765,54 @@ void DatalogPeer::RestoreState(const std::string& state) {
   }
   n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
-    RelId rel = DecodeRelId(r);
+    RelId rel = DecodeRel(r);
     uint64_t rows = r.U64();
     // GetOrCreate materializes empty relations too — their existence (and
     // row order in non-empty ones) must survive the round trip exactly,
     // since ship watermarks index into it.
     db_.GetOrCreate(rel).Reserve(r.ReserveCount(rows));
     for (uint64_t row = 0; row < rows; ++row) {
-      db_.Insert(rel, DecodePeerTuple(r));
+      db_.Insert(rel, DecodeRow(r));
     }
   }
   n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) active_.insert(DecodeRelId(r));
+  for (uint64_t i = 0; i < n; ++i) active_.insert(DecodeRel(r));
   n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
-    RelId rel = DecodeRelId(r);
+    RelId rel = DecodeRel(r);
     uint64_t subs = r.U64();
     auto& set = subscribers_[rel];
     for (uint64_t j = 0; j < subs; ++j) set.insert(r.U32());
   }
   n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
-    RelId rel = DecodeRelId(r);
+    RelId rel = DecodeRel(r);
     SymbolId target = r.U32();
     shipped_[{rel, target}] = r.U64();
   }
   n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
-    RelId rel = DecodeRelId(r);
+    RelId rel = DecodeRel(r);
     uint64_t tuples = r.U64();
     auto& set = received_[rel];
-    for (uint64_t j = 0; j < tuples; ++j) set.insert(DecodePeerTuple(r));
+    for (uint64_t j = 0; j < tuples; ++j) set.insert(DecodeRow(r));
   }
   n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
     PredicateId pred = r.U32();
-    rewritten_.emplace(pred, DecodeAdornmentBits(r));
+    rewritten_.emplace(pred, DecodeAdornment(r));
   }
   if (sharded_) {
     n = r.U64();
     for (uint64_t i = 0; i < n; ++i) {
-      RelId rel = DecodeRelId(r);
+      RelId rel = DecodeRel(r);
       uint64_t tuples = r.U64();
       auto& set = received_replica_[rel];
-      for (uint64_t j = 0; j < tuples; ++j) set.insert(DecodePeerTuple(r));
+      for (uint64_t j = 0; j < tuples; ++j) set.insert(DecodeRow(r));
     }
     n = r.U64();
     for (uint64_t i = 0; i < n; ++i) {
-      RelId rel = DecodeRelId(r);
+      RelId rel = DecodeRel(r);
       exchanged_[rel] = r.U64();
     }
     n = r.U64();

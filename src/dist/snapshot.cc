@@ -45,206 +45,6 @@ std::string SnapshotReader::Str() {
   return s;
 }
 
-void EncodePattern(const Pattern& p, SnapshotWriter& w) {
-  w.U8(static_cast<uint8_t>(p.kind()));
-  switch (p.kind()) {
-    case Pattern::Kind::kVar:
-      w.U32(p.var());
-      break;
-    case Pattern::Kind::kConst:
-      w.U32(p.symbol());
-      break;
-    case Pattern::Kind::kApp:
-      w.U32(p.symbol());
-      w.U64(p.args().size());
-      for (const Pattern& a : p.args()) EncodePattern(a, w);
-      break;
-  }
-}
-
-Pattern DecodePattern(SnapshotReader& r) {
-  auto kind = static_cast<Pattern::Kind>(r.U8());
-  switch (kind) {
-    case Pattern::Kind::kVar:
-      return Pattern::Var(r.U32());
-    case Pattern::Kind::kConst:
-      return Pattern::Const(r.U32());
-    case Pattern::Kind::kApp: {
-      SymbolId fn = r.U32();
-      uint64_t n = r.U64();
-      std::vector<Pattern> args;
-      args.reserve(r.ReserveCount(n));
-      for (uint64_t i = 0; i < n; ++i) args.push_back(DecodePattern(r));
-      return Pattern::App(fn, std::move(args));
-    }
-  }
-  DQSQ_CHECK(false) << "corrupt pattern kind in snapshot";
-  return Pattern::Const(0);
-}
-
-namespace {
-
-void EncodeAtom(const Atom& atom, SnapshotWriter& w) {
-  w.U32(atom.rel.pred);
-  w.U32(atom.rel.peer);
-  w.U64(atom.args.size());
-  for (const Pattern& p : atom.args) EncodePattern(p, w);
-}
-
-Atom DecodeAtom(SnapshotReader& r) {
-  Atom atom;
-  atom.rel.pred = r.U32();
-  atom.rel.peer = r.U32();
-  uint64_t n = r.U64();
-  atom.args.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) atom.args.push_back(DecodePattern(r));
-  return atom;
-}
-
-void EncodeTuple(const Tuple& t, SnapshotWriter& w) {
-  w.U64(t.size());
-  for (TermId id : t) w.U32(id);
-}
-
-Tuple DecodeTuple(SnapshotReader& r) {
-  uint64_t n = r.U64();
-  Tuple t;
-  t.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) t.push_back(r.U32());
-  return t;
-}
-
-}  // namespace
-
-void EncodeRule(const Rule& rule, SnapshotWriter& w) {
-  EncodeAtom(rule.head, w);
-  w.U64(rule.body.size());
-  for (const Atom& a : rule.body) EncodeAtom(a, w);
-  w.U64(rule.negative.size());
-  for (const Atom& a : rule.negative) EncodeAtom(a, w);
-  w.U64(rule.diseqs.size());
-  for (const Diseq& d : rule.diseqs) {
-    EncodePattern(d.lhs, w);
-    EncodePattern(d.rhs, w);
-  }
-  w.U32(rule.num_vars);
-  w.U64(rule.var_names.size());
-  for (const std::string& name : rule.var_names) w.Str(name);
-}
-
-Rule DecodeRule(SnapshotReader& r) {
-  Rule rule;
-  rule.head = DecodeAtom(r);
-  uint64_t n = r.U64();
-  rule.body.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) rule.body.push_back(DecodeAtom(r));
-  n = r.U64();
-  rule.negative.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) rule.negative.push_back(DecodeAtom(r));
-  n = r.U64();
-  rule.diseqs.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    Diseq d;
-    d.lhs = DecodePattern(r);
-    d.rhs = DecodePattern(r);
-    rule.diseqs.push_back(std::move(d));
-  }
-  rule.num_vars = r.U32();
-  n = r.U64();
-  rule.var_names.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) rule.var_names.push_back(r.Str());
-  return rule;
-}
-
-void EncodeMessage(const Message& m, SnapshotWriter& w) {
-  w.U8(static_cast<uint8_t>(m.kind));
-  w.U32(m.from);
-  w.U32(m.to);
-  w.U32(m.rel.pred);
-  w.U32(m.rel.peer);
-  w.U64(m.tuples.size());
-  for (const Tuple& t : m.tuples) EncodeTuple(t, w);
-  w.U32(m.subscriber);
-  w.U64(m.adornment.size());
-  for (bool b : m.adornment) w.Bool(b);
-  w.U64(m.rules.size());
-  for (const Rule& rule : m.rules) EncodeRule(rule, w);
-  w.U64(m.seq);
-  w.U64(m.ack);
-  w.U64(m.sack.size());
-  for (const SackBlock& s : m.sack) {
-    w.U64(s.first);
-    w.U64(s.last);
-  }
-  // Flags byte (was a plain retransmit Bool): bit0 = retransmit, bit1 =
-  // shard_replica, bit2 = batched sections follow. With sharding and
-  // batching off every bit above 0 is clear, so the encoding — and the
-  // pinned snapshot_bytes baselines — are byte-identical to the
-  // pre-sharding codec.
-  uint8_t flags = 0;
-  if (m.retransmit) flags |= 1;
-  if (m.shard_replica) flags |= 2;
-  if (!m.sections.empty()) flags |= 4;
-  w.U8(flags);
-  w.U64(m.epoch);
-  if (!m.sections.empty()) {
-    w.U64(m.sections.size());
-    for (const TupleSection& s : m.sections) {
-      w.U32(s.rel.pred);
-      w.U32(s.rel.peer);
-      w.U64(s.tuples.size());
-      for (const Tuple& t : s.tuples) EncodeTuple(t, w);
-    }
-  }
-}
-
-Message DecodeMessage(SnapshotReader& r) {
-  Message m;
-  m.kind = static_cast<MessageKind>(r.U8());
-  m.from = r.U32();
-  m.to = r.U32();
-  m.rel.pred = r.U32();
-  m.rel.peer = r.U32();
-  uint64_t n = r.U64();
-  m.tuples.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) m.tuples.push_back(DecodeTuple(r));
-  m.subscriber = r.U32();
-  n = r.U64();
-  m.adornment.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) m.adornment.push_back(r.Bool());
-  n = r.U64();
-  m.rules.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) m.rules.push_back(DecodeRule(r));
-  m.seq = r.U64();
-  m.ack = r.U64();
-  n = r.U64();
-  m.sack.reserve(r.ReserveCount(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    SackBlock s;
-    s.first = r.U64();
-    s.last = r.U64();
-    m.sack.push_back(s);
-  }
-  uint8_t flags = r.U8();
-  m.retransmit = (flags & 1) != 0;
-  m.shard_replica = (flags & 2) != 0;
-  m.epoch = r.U64();
-  if ((flags & 4) != 0) {
-    uint64_t sections = r.U64();
-    m.sections.reserve(r.ReserveCount(sections));
-    for (uint64_t i = 0; i < sections; ++i) {
-      TupleSection s;
-      s.rel.pred = r.U32();
-      s.rel.peer = r.U32();
-      uint64_t rows = r.U64();
-      s.tuples.reserve(r.ReserveCount(rows));
-      for (uint64_t j = 0; j < rows; ++j) s.tuples.push_back(DecodeTuple(r));
-      m.sections.push_back(std::move(s));
-    }
-  }
-  return m;
-}
-
 std::string SerializePeerSnapshot(const PeerSnapshot& snap) {
   SnapshotWriter w;
   w.U32(snap.peer);

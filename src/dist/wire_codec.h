@@ -1,18 +1,18 @@
-// Cross-process wire format for dDatalog peer messages.
+// Cross-process wire format for dDatalog peer messages: the message codec
+// of dist/snapshot.h under the named-identifier policy, plus framing.
 //
-// Two layers:
+//  * Payloads. Raw SymbolId / PredicateId / TermId values mean something
+//    only inside the DatalogContext that interned them, and across OS
+//    processes there is no shared context. NamedIds therefore writes every
+//    identifier by name — peers and constants as names, predicates as name
+//    plus arity, terms recursively — and re-interns them into the receiving
+//    context on decode. Two processes that parsed different fragments of
+//    the same program exchange messages that mean the same thing,
+//    regardless of interning order. The walk over the message is the same
+//    one the in-process snapshots and write-ahead log use (InProcessIds);
+//    only the identifiers differ.
 //
-//  * A *symbolic* message codec. The in-process snapshot codec
-//    (dist/snapshot.h) persists raw SymbolId / PredicateId / TermId values,
-//    which are only meaningful inside the DatalogContext that interned
-//    them. Across OS processes no such shared arena exists, so the wire
-//    codec encodes every identifier by name — peers, predicates (with
-//    arity), constants and function terms (recursively) — and the decoder
-//    re-interns them into the receiving context. Two processes that parsed
-//    different fragments of the same program therefore exchange messages
-//    that mean the same thing, regardless of interning order.
-//
-//  * Length-prefixed *framing* over a byte stream (TCP). Each frame is
+//  * Framing over a byte stream (TCP). Each frame is
 //      magic(4) | type(1) | payload_len(4) | fnv1a(payload)(4) | payload
 //    little-endian. FrameDecoder consumes an arbitrary chunking of the
 //    stream and yields complete frames; a bad magic, an oversized length
@@ -21,9 +21,10 @@
 //
 // Trust model: frames are integrity-checked (length bound + checksum)
 // before the payload decoder runs, so framing survives line noise and
-// truncated peers; the payload decoder itself assumes a well-formed
-// payload from a cooperating peer and CHECK-fails on structural garbage,
-// exactly like the snapshot codec it mirrors.
+// truncated peers; the payload decoder assumes a payload from a
+// cooperating peer and CHECK-fails on structural garbage (truncation, an
+// unknown pattern or message kind, trailing bytes), like every decoder of
+// the shared codec.
 #ifndef DQSQ_DIST_WIRE_CODEC_H_
 #define DQSQ_DIST_WIRE_CODEC_H_
 
@@ -39,7 +40,29 @@
 
 namespace dqsq::dist {
 
-// ---- Symbolic payload codec ----------------------------------------------
+// ---- Named payload codec -------------------------------------------------
+
+/// The named-identifier policy of the message codec (dist/snapshot.h).
+class NamedIds {
+ public:
+  /// Encodes with the names of `ctx`.
+  explicit NamedIds(const DatalogContext& ctx) : ctx_(ctx) {}
+  /// Also decodes, interning every name into `ctx`.
+  explicit NamedIds(DatalogContext& ctx) : ctx_(ctx), interner_(&ctx) {}
+
+  void PutSymbol(SymbolId id, SnapshotWriter& w) const;
+  SymbolId GetSymbol(SnapshotReader& r) const;
+  void PutPredicate(PredicateId id, SnapshotWriter& w) const;
+  PredicateId GetPredicate(SnapshotReader& r) const;
+  void PutTerm(TermId term, SnapshotWriter& w) const;
+  TermId GetTerm(SnapshotReader& r) const;
+
+ private:
+  DatalogContext& interner() const;
+
+  const DatalogContext& ctx_;
+  DatalogContext* interner_ = nullptr;  // null: encode only
+};
 
 /// Encodes `m` so any process can decode it: identifiers travel as names.
 /// The transport envelope (seq/ack/sack/retransmit/epoch) is carried
@@ -50,7 +73,7 @@ std::string EncodeWireMessage(const Message& m, const DatalogContext& ctx);
 /// Decodes an EncodeWireMessage payload, interning every name into `ctx`.
 Message DecodeWireMessage(std::string_view payload, DatalogContext& ctx);
 
-/// Symbolic term codec, exposed for report payloads and tests.
+/// Named term codec (NamedIds::PutTerm/GetTerm), for report payloads.
 void EncodeWireTerm(TermId term, const DatalogContext& ctx, SnapshotWriter& w);
 TermId DecodeWireTerm(SnapshotReader& r, DatalogContext& ctx);
 

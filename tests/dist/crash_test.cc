@@ -154,6 +154,40 @@ TEST(CrashRestartDeathTest, HugeRuleCountInPeerStateAbortsAsTruncated) {
   EXPECT_DEATH(peer.RestoreState(state), "truncated snapshot");
 }
 
+TEST(CrashRestartDeathTest, TrailingBytesInAWalRecordAbortReplay) {
+  // A write-ahead-log record holds exactly one message; bytes after it
+  // mean the log is corrupt, and replay must not rebuild state from it.
+  struct Sink : PeerNode {
+    Status OnMessage(const Message&, Network&) override {
+      return Status::Ok();
+    }
+    bool Restartable() const override { return true; }
+  };
+  Sink owner, other, replacement;
+  FaultPlan plan;
+  // A far-future migration enables the WAL; the test migrates by hand.
+  plan.crash.migrate_at_step = {{/*at_step=*/1'000'000, /*peer_index=*/0}};
+  plan.crash.checkpoint_every = 100;  // keep every delivery in the WAL
+  SimNetwork network(/*seed=*/1, plan);
+  network.Register(1, &owner);
+  network.Register(2, &other);
+  network.SetMigrationFactory([&](SymbolId) { return &replacement; });
+  network.Send(Basic(2, 1));
+  network.Send(Basic(2, 1));
+  ASSERT_TRUE(network.RunToQuiescence(/*max_steps=*/50).ok());
+
+  DurableStore& store = network.durable_store();
+  const std::string wal_key = "wal/1";
+  std::vector<std::string> records = store.ReadLog(wal_key);
+  ASSERT_EQ(records.size(), 2u);
+  store.TruncateLog(wal_key);
+  for (std::string& record : records) {
+    record.push_back('\0');
+    store.Append(wal_key, record);
+  }
+  EXPECT_DEATH(network.MigratePeer(1), "trailing bytes after WAL record");
+}
+
 TEST(CrashRestartDeathTest, DeliveringToACrashedPeerDies) {
   DatalogContext ctx;
   SymbolId id = ctx.InternPeer("p");

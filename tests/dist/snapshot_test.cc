@@ -5,7 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "dist/reliable.h"
+#include "dist/wire_codec.h"
+#include "tests/dist/codec_test_util.h"
 
 namespace dqsq::dist {
 namespace {
@@ -59,12 +62,13 @@ TEST(SnapshotCodecDeathTest, WrappingStringLengthAborts) {
 }
 
 TEST(SnapshotCodecDeathTest, HugePatternArityAbortsAsTruncated) {
-  // An application claiming 2^40 arguments over a few bytes: the decoder
-  // must fail on the missing arguments, not throw from reserve().
+  // An application claiming 2^32 - 1 arguments (the widest U32 count) over
+  // a few bytes: the decoder must fail on the missing arguments, not throw
+  // from reserve().
   SnapshotWriter w;
   w.U8(static_cast<uint8_t>(Pattern::Kind::kApp));
   w.U32(7);
-  w.U64(uint64_t{1} << 40);
+  w.U32(~uint32_t{0});
   w.U8(static_cast<uint8_t>(Pattern::Kind::kVar));
   w.U32(0);
   const std::string bytes = w.bytes();
@@ -72,16 +76,61 @@ TEST(SnapshotCodecDeathTest, HugePatternArityAbortsAsTruncated) {
   EXPECT_DEATH((void)DecodePattern(r), "truncated snapshot");
 }
 
+TEST(SnapshotCodecDeathTest, CorruptMessageKindAborts) {
+  // One past kTransportHello: without the check the byte would become a
+  // MessageKind no switch handles and reach the transport and the peer.
+  SnapshotWriter w;
+  Message m;
+  m.kind = MessageKind::kAck;
+  EncodeMessage(m, w);
+  std::string bytes = w.bytes();
+  bytes[0] = static_cast<char>(
+      static_cast<uint8_t>(MessageKind::kTransportHello) + 1);
+  SnapshotReader r(bytes);
+  EXPECT_DEATH((void)DecodeMessage(r), "corrupt message kind");
+}
+
+TEST(SnapshotCodecDeathTest, EncodingAFieldTheKindDoesNotCarryAborts) {
+  // Only kTuples/kActivate/kSubquery carry `rel` and only kActivate
+  // carries `subscriber`; a value the layout would drop must not be lost
+  // silently (ProtocolImage compares these bytes).
+  SnapshotWriter w;
+  Message ack;
+  ack.kind = MessageKind::kAck;
+  ack.rel = RelId{1, 2};
+  EXPECT_DEATH(EncodeMessage(ack, w), "rel set on a message kind");
+  Message tuples;
+  tuples.kind = MessageKind::kTuples;
+  tuples.subscriber = 3;
+  EXPECT_DEATH(EncodeMessage(tuples, w), "subscriber set on a message kind");
+}
+
 TEST(SnapshotCodecTest, PatternRoundTripsNestedApplications) {
   const Pattern p = Pattern::App(
       7, {Pattern::Var(0), Pattern::Const(3),
           Pattern::App(9, {Pattern::Var(1), Pattern::Const(4)})});
-  SnapshotWriter w;
-  EncodePattern(p, w);
-  SnapshotReader r(w.bytes());
-  const Pattern back = DecodePattern(r);
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(back, p);
+  EXPECT_EQ(ExpectByteStable(p, EncodePatternWith, DecodePatternWith,
+                             InProcessIds{}, InProcessIds{}),
+            p);
+  // Both identifier policies over the seeded generator; named ids decode
+  // into a context with a different interning order.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    DatalogContext sender;
+    DatalogContext receiver;
+    ScrambleInterning(rng, receiver);
+    const Pattern q = RandomPattern(rng, sender, 3);
+    EXPECT_EQ(ExpectByteStable(q, EncodePatternWith, DecodePatternWith,
+                               InProcessIds{}, InProcessIds{}),
+              q)
+        << "seed " << seed;
+    const Pattern named = ExpectByteStable(
+        q, EncodePatternWith, DecodePatternWith, NamedIds(sender),
+        NamedIds(receiver));
+    EXPECT_EQ(named.ToString(receiver.symbols(), nullptr),
+              q.ToString(sender.symbols(), nullptr))
+        << "seed " << seed;
+  }
 }
 
 TEST(SnapshotCodecTest, RuleEncodingIsByteStable) {
@@ -103,25 +152,37 @@ TEST(SnapshotCodecTest, RuleEncodingIsByteStable) {
   rule.num_vars = 2;
   rule.var_names = {"X", "Y"};
 
-  SnapshotWriter w1;
-  EncodeRule(rule, w1);
-  SnapshotReader r(w1.bytes());
-  const Rule back = DecodeRule(r);
-  EXPECT_TRUE(r.AtEnd());
-  SnapshotWriter w2;
-  EncodeRule(back, w2);
-  EXPECT_EQ(w1.bytes(), w2.bytes());
+  const Rule back = ExpectByteStable(rule, EncodeRuleWith, DecodeRuleWith,
+                                     InProcessIds{}, InProcessIds{});
   EXPECT_EQ(back.head.rel, rule.head.rel);
   EXPECT_EQ(back.body.size(), 1u);
   EXPECT_EQ(back.negative.size(), 1u);
   EXPECT_EQ(back.diseqs.size(), 1u);
   EXPECT_EQ(back.num_vars, 2u);
   EXPECT_EQ(back.var_names, rule.var_names);
+
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    DatalogContext sender;
+    DatalogContext receiver;
+    ScrambleInterning(rng, receiver);
+    const Rule random = RandomRule(rng, sender);
+    const Rule raw = ExpectByteStable(random, EncodeRuleWith, DecodeRuleWith,
+                                      InProcessIds{}, InProcessIds{});
+    EXPECT_EQ(raw.head.rel, random.head.rel) << "seed " << seed;
+    const Rule named = ExpectByteStable(random, EncodeRuleWith, DecodeRuleWith,
+                                        NamedIds(sender), NamedIds(receiver));
+    EXPECT_EQ(receiver.PredicateName(named.head.rel.pred),
+              sender.PredicateName(random.head.rel.pred))
+        << "seed " << seed;
+    EXPECT_EQ(named.var_names, random.var_names);
+  }
 }
 
 TEST(SnapshotCodecTest, MessageEncodingCarriesTheFullEnvelope) {
+  // kActivate carries every optional field: rel and subscriber.
   Message m;
-  m.kind = MessageKind::kTuples;
+  m.kind = MessageKind::kActivate;
   m.from = 4;
   m.to = 9;
   m.rel = RelId{6, 9};
@@ -132,26 +193,44 @@ TEST(SnapshotCodecTest, MessageEncodingCarriesTheFullEnvelope) {
   m.ack = 8;
   m.sack = {{10, 12}, {15, 15}};
   m.retransmit = true;
+  m.shard_replica = true;
+  m.sections = {TupleSection{RelId{7, 9}, {{6}, {8}}}};
   m.epoch = 3;
 
-  SnapshotWriter w1;
-  EncodeMessage(m, w1);
-  SnapshotReader r(w1.bytes());
-  const Message back = DecodeMessage(r);
-  EXPECT_TRUE(r.AtEnd());
-  SnapshotWriter w2;
-  EncodeMessage(back, w2);
-  EXPECT_EQ(w1.bytes(), w2.bytes());
+  const Message back = ExpectByteStable(m, EncodeMessageWith,
+                                        DecodeMessageWith, InProcessIds{},
+                                        InProcessIds{});
   EXPECT_EQ(back.kind, m.kind);
   EXPECT_EQ(back.from, m.from);
   EXPECT_EQ(back.to, m.to);
+  EXPECT_EQ(back.rel, m.rel);
   EXPECT_EQ(back.tuples, m.tuples);
+  EXPECT_EQ(back.subscriber, m.subscriber);
   EXPECT_EQ(back.adornment, m.adornment);
   EXPECT_EQ(back.seq, m.seq);
   EXPECT_EQ(back.ack, m.ack);
   EXPECT_EQ(back.sack, m.sack);
   EXPECT_TRUE(back.retransmit);
+  EXPECT_TRUE(back.shard_replica);
+  EXPECT_EQ(back.sections, m.sections);
   EXPECT_EQ(back.epoch, 3u);
+
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    DatalogContext sender;
+    DatalogContext receiver;
+    ScrambleInterning(rng, receiver);
+    for (int i = 0; i < 10; ++i) {
+      const Message random = RandomMessage(rng, sender);
+      const Message raw = ExpectByteStable(random, EncodeMessageWith,
+                                           DecodeMessageWith, InProcessIds{},
+                                           InProcessIds{});
+      EXPECT_EQ(raw.tuples, random.tuples) << "seed " << seed;
+      EXPECT_EQ(raw.sections, random.sections) << "seed " << seed;
+      ExpectByteStable(random, EncodeMessageWith, DecodeMessageWith,
+                       NamedIds(sender), NamedIds(receiver));
+    }
+  }
 }
 
 Message Payload(SymbolId from, SymbolId to, uint64_t seq) {

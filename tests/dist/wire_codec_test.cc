@@ -6,146 +6,17 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tests/dist/codec_test_util.h"
 
 namespace dqsq::dist {
 namespace {
 
-// ---- Random message generation -------------------------------------------
-// Names are drawn from small pools so cross-context re-interning gets
-// exercised (the same name appears under different ids in different
-// contexts). Predicate names carry their arity so InternPredicate stays
-// consistent within a context.
-
-SymbolId RandomName(Rng& rng, DatalogContext& ctx, const char* prefix) {
-  return ctx.symbols().Intern(prefix + std::to_string(rng.NextBelow(6)));
-}
-
-TermId RandomTerm(Rng& rng, DatalogContext& ctx, int depth) {
-  if (depth <= 0 || rng.NextBool(0.6)) {
-    return ctx.arena().MakeConstant(RandomName(rng, ctx, "c"));
-  }
-  std::vector<TermId> args;
-  size_t n = 1 + rng.NextBelow(3);
-  for (size_t i = 0; i < n; ++i) {
-    args.push_back(RandomTerm(rng, ctx, depth - 1));
-  }
-  return ctx.arena().MakeApp(RandomName(rng, ctx, "f"), args);
-}
-
-RelId RandomRel(Rng& rng, DatalogContext& ctx) {
-  uint32_t arity = 1 + static_cast<uint32_t>(rng.NextBelow(3));
-  std::string pred =
-      "r" + std::to_string(arity) + "_" + std::to_string(rng.NextBelow(4));
-  return RelId{ctx.InternPredicate(pred, arity), RandomName(rng, ctx, "p")};
-}
-
-Pattern RandomPattern(Rng& rng, DatalogContext& ctx, int depth) {
-  switch (depth > 0 ? rng.NextBelow(3) : rng.NextBelow(2)) {
-    case 0:
-      return Pattern::Var(static_cast<uint32_t>(rng.NextBelow(4)));
-    case 1:
-      return Pattern::Const(RandomName(rng, ctx, "c"));
-    default: {
-      std::vector<Pattern> args;
-      size_t n = 1 + rng.NextBelow(2);
-      for (size_t i = 0; i < n; ++i) {
-        args.push_back(RandomPattern(rng, ctx, depth - 1));
-      }
-      return Pattern::App(RandomName(rng, ctx, "f"), std::move(args));
-    }
-  }
-}
-
-Atom RandomAtom(Rng& rng, DatalogContext& ctx) {
-  Atom atom;
-  atom.rel = RandomRel(rng, ctx);
-  uint32_t arity = ctx.PredicateArity(atom.rel.pred);
-  for (uint32_t i = 0; i < arity; ++i) {
-    atom.args.push_back(RandomPattern(rng, ctx, 2));
-  }
-  return atom;
-}
-
-Rule RandomRule(Rng& rng, DatalogContext& ctx) {
-  Rule rule;
-  rule.head = RandomAtom(rng, ctx);
-  size_t body = 1 + rng.NextBelow(2);
-  for (size_t i = 0; i < body; ++i) rule.body.push_back(RandomAtom(rng, ctx));
-  if (rng.NextBool(0.3)) {
-    Diseq d;
-    d.lhs = RandomPattern(rng, ctx, 1);
-    d.rhs = RandomPattern(rng, ctx, 1);
-    rule.diseqs.push_back(std::move(d));
-  }
-  rule.num_vars = 4;
-  for (uint32_t i = 0; i < rule.num_vars; ++i) {
-    rule.var_names.push_back("V" + std::to_string(i));
-  }
-  return rule;
-}
-
-Message RandomMessage(Rng& rng, DatalogContext& ctx) {
-  static const MessageKind kKinds[] = {
-      MessageKind::kTuples, MessageKind::kActivate, MessageKind::kSubquery,
-      MessageKind::kInstall, MessageKind::kAck};
-  Message m;
-  m.kind = kKinds[rng.NextBelow(5)];
-  m.from = RandomName(rng, ctx, "p");
-  m.to = RandomName(rng, ctx, "p");
-  if (m.kind == MessageKind::kTuples || m.kind == MessageKind::kActivate ||
-      m.kind == MessageKind::kSubquery) {
-    m.rel = RandomRel(rng, ctx);
-  }
-  if (m.kind == MessageKind::kTuples) {
-    uint32_t arity = ctx.PredicateArity(m.rel.pred);
-    size_t n = rng.NextBelow(4);
-    for (size_t i = 0; i < n; ++i) {
-      Tuple t;
-      for (uint32_t j = 0; j < arity; ++j) {
-        t.push_back(RandomTerm(rng, ctx, 2));
-      }
-      m.tuples.push_back(std::move(t));
-    }
-  }
-  if (m.kind == MessageKind::kActivate) {
-    m.subscriber = RandomName(rng, ctx, "p");
-  }
-  if (m.kind == MessageKind::kSubquery) {
-    uint32_t arity = ctx.PredicateArity(m.rel.pred);
-    for (uint32_t i = 0; i < arity; ++i) {
-      m.adornment.push_back(rng.NextBool(0.5));
-    }
-  }
-  if (m.kind == MessageKind::kInstall) {
-    size_t n = 1 + rng.NextBelow(2);
-    for (size_t i = 0; i < n; ++i) m.rules.push_back(RandomRule(rng, ctx));
-  }
-  // Transport envelope.
-  m.seq = rng.NextBelow(1000);
-  m.ack = rng.NextBelow(1000);
-  if (rng.NextBool(0.3)) {
-    m.sack.push_back(SackBlock{rng.NextBelow(100), 100 + rng.NextBelow(100)});
-  }
-  m.retransmit = rng.NextBool(0.2);
-  m.epoch = rng.NextBelow(5);
-  return m;
-}
-
-/// Interns a seed-dependent set of names so the receiving context's id
-/// assignment differs from the sender's — the situation the symbolic
-/// codec exists for.
-void ScrambleInterning(Rng& rng, DatalogContext& ctx) {
-  size_t n = rng.NextBelow(20);
-  for (size_t i = 0; i < n; ++i) {
-    ctx.symbols().Intern("scramble" + std::to_string(rng.NextBelow(50)));
-    RandomName(rng, ctx, "c");
-    RandomName(rng, ctx, "p");
-  }
-}
-
-// The round-trip property: decoding into a context with a different
-// interning order and re-encoding reproduces the original bytes (the
-// encoding is name-based, so it is independent of local ids).
+// The round-trip property under both identifier policies. Named ids:
+// decoding into a context with a different interning order and
+// re-encoding reproduces the original bytes (the encoding is name-based,
+// so it is independent of local ids). In-process ids: the same walk over
+// raw ids round-trips within the sender's context, and the message it
+// decodes re-encodes to the same named bytes.
 TEST(WireCodecTest, SymbolicRoundTripAcrossContexts20Seeds) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -166,8 +37,34 @@ TEST(WireCodecTest, SymbolicRoundTripAcrossContexts20Seeds) {
       EXPECT_EQ(decoded.tuples.size(), original.tuples.size());
       EXPECT_EQ(decoded.seq, original.seq);
       EXPECT_EQ(decoded.epoch, original.epoch);
+      const Message raw =
+          ExpectByteStable(original, EncodeMessageWith, DecodeMessageWith,
+                           InProcessIds{}, InProcessIds{});
+      EXPECT_EQ(EncodeWireMessage(raw, sender), bytes)
+          << "seed " << seed << " message " << i;
     }
   }
+}
+
+// The cross-process format is a contract between peer processes that
+// may run different builds: pin every byte the 20-seed generator
+// produces. The constant is the FNV-1a (64-bit) hash of all 200 payloads
+// in order; a codec change that moves any byte on the wire fails here.
+TEST(WireCodecTest, EncodingMatchesGoldenHash20Seeds) {
+  uint64_t hash = 14695981039346656037ull;
+  size_t bytes_hashed = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    DatalogContext ctx;
+    for (int i = 0; i < 10; ++i) {
+      for (char c : EncodeWireMessage(RandomMessage(rng, ctx), ctx)) {
+        hash = (hash ^ static_cast<uint8_t>(c)) * 1099511628211ull;
+        ++bytes_hashed;
+      }
+    }
+  }
+  EXPECT_EQ(bytes_hashed, 35901u);
+  EXPECT_EQ(hash, 0x34927b92aeb5a0b9ull);
 }
 
 TEST(WireCodecTest, TermRoundTripPreservesRendering) {
@@ -184,6 +81,16 @@ TEST(WireCodecTest, TermRoundTripPreservesRendering) {
     EXPECT_TRUE(r.AtEnd());
     EXPECT_EQ(receiver.arena().ToString(decoded, receiver.symbols()),
               sender.arena().ToString(term, sender.symbols()));
+    // In-process ids: a term is its raw id.
+    auto encode = [](TermId t, SnapshotWriter& out, const auto& ids) {
+      ids.PutTerm(t, out);
+    };
+    auto decode = [](SnapshotReader& in, const auto& ids) {
+      return ids.GetTerm(in);
+    };
+    EXPECT_EQ(ExpectByteStable(term, encode, decode, InProcessIds{},
+                               InProcessIds{}),
+              term);
   }
 }
 
@@ -215,6 +122,21 @@ TEST(WireCodecDeathTest, HugeTupleCountAbortsAsTruncated) {
   const std::string bytes = w.bytes();
   DatalogContext ctx;
   EXPECT_DEATH((void)DecodeWireMessage(bytes, ctx), "truncated snapshot");
+}
+
+TEST(WireCodecDeathTest, CorruptMessageKindAborts) {
+  // A frame passes its checksum, but its kind byte is one past
+  // kTransportHello: the decoder must reject it, not hand an unknown kind
+  // to the transport and the peer.
+  DatalogContext ctx;
+  Message m;
+  m.kind = MessageKind::kAck;
+  m.from = ctx.InternPeer("p1");
+  m.to = ctx.InternPeer("p2");
+  std::string bytes = EncodeWireMessage(m, ctx);
+  bytes[0] = static_cast<char>(
+      static_cast<uint8_t>(MessageKind::kTransportHello) + 1);
+  EXPECT_DEATH((void)DecodeWireMessage(bytes, ctx), "corrupt message kind");
 }
 
 // ---- Framing -------------------------------------------------------------
